@@ -18,9 +18,6 @@
 #![warn(missing_docs)]
 
 use critique_core::IsolationLevel;
-use critique_engine::{
-    BackendKind, Durability, FairnessPolicy, GrantPolicy, GroupCommit, ReadPath, UpgradeStrategy,
-};
 use critique_workloads::MixedWorkload;
 
 /// The isolation levels compared in the throughput studies.
@@ -43,236 +40,6 @@ pub fn bench_workload(read_fraction: f64, hot_fraction: f64) -> MixedWorkload {
         txns_per_thread: 50,
         threads: 4,
         seed: 99,
-        think_micros: 0,
-        shards: critique_storage::DEFAULT_SHARDS,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::MvStore,
-        upgrade: UpgradeStrategy::SharedThenUpgrade,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Ephemeral,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
-    }
-}
-
-/// The workload behind the thread-count scaling sweep (`BENCH_scaling.json`):
-/// mostly-read, low contention, and — crucially — non-zero client think
-/// time, so throughput is bounded by how many transactions the substrate
-/// lets overlap rather than by a single worker's CPU speed.
-pub fn scaling_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 256,
-        read_fraction: 0.7,
-        ops_per_txn: 4,
-        hot_fraction: 0.05,
-        txns_per_thread: 120,
-        threads: 1,
-        seed: 1995,
-        think_micros: 250,
-        shards: critique_storage::DEFAULT_SHARDS,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::MvStore,
-        upgrade: UpgradeStrategy::SharedThenUpgrade,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Ephemeral,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
-    }
-}
-
-/// The workload behind the read-heavy epoch-vs-locked series
-/// (`BENCH_scaling.json`'s `read_heavy` record): the
-/// [`MixedWorkload::read_heavy`] 95/5 mix over the scaling sweep's table,
-/// with no think time, so the measured difference between the epoch series
-/// and the locked-baseline series is exactly what the per-read stripe
-/// locks cost on the mix where reads dominate.
-pub fn read_heavy_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 256,
-        ops_per_txn: 4,
-        hot_fraction: 0.05,
-        txns_per_thread: 120,
-        threads: 1,
-        seed: 1995,
-        ..MixedWorkload::read_heavy()
-    }
-}
-
-/// The worker counts the scaling sweep visits.
-pub const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// The isolation levels the scaling sweep visits (the ROADMAP's "scaling
-/// sweep breadth": READ COMMITTED alone says nothing about how the
-/// snapshot and two-phase-locking schedulers scale).
-pub const SCALING_LEVELS: [IsolationLevel; 3] = [
-    IsolationLevel::ReadCommitted,
-    IsolationLevel::SnapshotIsolation,
-    IsolationLevel::Serializable,
-];
-
-/// The range-scan mixes the point-vs-range comparison visits (`0.0` is
-/// the point-only baseline).
-pub const RANGE_FRACTIONS: [f64; 2] = [0.0, 0.5];
-
-/// The workload behind the point-vs-range comparison
-/// (`BENCH_scaling.json`'s `range_scan` record): the scaling mix without
-/// think time, so the measured difference is the cost of routing reads
-/// through the ordered index and interval predicate locks rather than
-/// idle client gaps.
-pub fn range_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 256,
-        read_fraction: 0.7,
-        ops_per_txn: 4,
-        hot_fraction: 0.05,
-        txns_per_thread: 120,
-        threads: 4,
-        seed: 1995,
-        think_micros: 0,
-        shards: critique_storage::DEFAULT_SHARDS,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::MvStore,
-        upgrade: UpgradeStrategy::UpdateLock,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Ephemeral,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
-    }
-}
-
-/// The workload behind the durable-logstore comparison
-/// (`BENCH_scaling.json`'s `durable_logstore` record): the scaling mix on
-/// the log-structured backend with no think time, run once per
-/// [`Durability`] mode, so the measured difference between the series is
-/// exactly the fsync tax at each commit boundary.  Kept shorter than the
-/// main sweep because every committed transaction in the fsync series is
-/// a real `fsync(2)`.
-pub fn durable_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 256,
-        read_fraction: 0.7,
-        ops_per_txn: 4,
-        hot_fraction: 0.05,
-        txns_per_thread: 60,
-        threads: 1,
-        seed: 1995,
-        think_micros: 0,
-        shards: critique_storage::DEFAULT_SHARDS,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::LogStructured,
-        upgrade: UpgradeStrategy::SharedThenUpgrade,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Ephemeral,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
-    }
-}
-
-/// The group-commit window the batched bench series runs with.  Kept
-/// short: committers that arrive while the leader is busy fsyncing batch
-/// anyway, so the window only needs to catch the stragglers — a window
-/// longer than the fsync itself would have the leader sleeping past the
-/// very cost it amortises.
-pub const GROUP_COMMIT_WINDOW_MICROS: u64 = 50;
-
-/// The write-ahead-log shard count the partitioned-log bench series runs
-/// with (the single-log legs use 1).
-pub const GROUP_COMMIT_SHARDS: usize = 4;
-
-/// The workload behind the group-commit comparison (`BENCH_scaling.json`'s
-/// `group_commit` record): a write-heavy fsync'd log-structured mix with
-/// no think time, run over the `{per-commit, batched} × {single log,
-/// partitioned log}` grid.  Write-heavy because only writing commits pay
-/// the fsync the batcher amortises, and multi-worker counts matter
-/// because the batch forms from *concurrent* committers parking behind
-/// one leader.
-pub fn group_commit_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 256,
-        read_fraction: 0.1,
-        ops_per_txn: 4,
-        hot_fraction: 0.05,
-        txns_per_thread: 60,
-        threads: 1,
-        seed: 1995,
-        think_micros: 0,
-        shards: 1,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::LogStructured,
-        upgrade: UpgradeStrategy::SharedThenUpgrade,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Fsync,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
-    }
-}
-
-/// The workload behind the contended-handoff comparison: every worker
-/// hammers one hot row with read-modify-write transactions under
-/// SERIALIZABLE, so committed throughput is bounded by how fast a release
-/// reaches the next waiter — exactly what [`GrantPolicy::DirectHandoff`]
-/// vs [`GrantPolicy::WakeAll`] changes.
-pub fn handoff_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 4,
-        read_fraction: 0.0,
-        ops_per_txn: 2,
-        hot_fraction: 1.0,
-        txns_per_thread: 150,
-        threads: 8,
-        seed: 1995,
-        think_micros: 0,
-        shards: critique_storage::DEFAULT_SHARDS,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::MvStore,
-        upgrade: UpgradeStrategy::SharedThenUpgrade,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Ephemeral,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
-    }
-}
-
-/// The watcher counts the fan-out comparison visits: one subscriber, a
-/// dashboard's worth, and a fleet.
-pub const WATCH_FANOUT_COUNTS: [usize; 3] = [1, 100, 10_000];
-
-/// The workload behind the watcher fan-out comparison
-/// (`BENCH_scaling.json`'s `watch_fanout` record): one write-only worker
-/// committing against `WATCH_FANOUT_COUNTS` table watchers, so the
-/// recorded throughput difference between the cells is exactly what the
-/// commit path pays to fan one change event out to every subscriber.
-pub fn watch_fanout_workload() -> MixedWorkload {
-    MixedWorkload {
-        accounts: 256,
-        read_fraction: 0.0,
-        ops_per_txn: 4,
-        hot_fraction: 0.05,
-        txns_per_thread: 200,
-        threads: 1,
-        seed: 1995,
-        think_micros: 0,
-        shards: critique_storage::DEFAULT_SHARDS,
-        grant: GrantPolicy::DirectHandoff,
-        backend: BackendKind::MvStore,
-        upgrade: UpgradeStrategy::SharedThenUpgrade,
-        range_fraction: 0.0,
-        read_path: ReadPath::Epoch,
-        durability: Durability::Ephemeral,
-        group_commit: GroupCommit::Off,
-        fairness: FairnessPolicy::Barging,
-        watchers: 0,
+        ..MixedWorkload::default()
     }
 }

@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use critique_core::IsolationLevel;
-pub use critique_lock::{FairnessPolicy, GrantPolicy, UpgradeStrategy};
 pub use critique_storage::{BackendKind, Durability, GroupCommit, ReadPath};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -48,37 +47,23 @@ pub struct EngineConfig {
     pub record_history: bool,
     /// Number of shards the substrate is partitioned into: the store's
     /// version-chain shards, the lock manager's item-lock shards, and the
-    /// history recorder's buffers.  `1` degenerates to the old
-    /// global-lock layout (useful as a contention baseline); clamped to at
-    /// least 1.
+    /// history recorder's buffers.  `1` degenerates to a single
+    /// global-lock layout; clamped to at least 1.
     pub shards: usize,
-    /// How released locks are handed to blocked waiters (only observable
-    /// under [`LockWaitPolicy::Block`]): FIFO direct handoff by default,
-    /// or the wake-all thundering-herd baseline the contended-handoff
-    /// benchmark compares against.
-    pub grant: GrantPolicy,
     /// Which storage engine the database runs on.  Every isolation
     /// scheduler talks to storage through the
     /// [`critique_storage::StorageBackend`] trait, so the choice changes
     /// the representation of versions — never the Table 3/4 verdicts (the
     /// conformance exerciser proves this per backend).
     pub backend: BackendKind,
-    /// How [`crate::Transaction::read_for_update`] locks the read half of
-    /// a read-modify-write at the locking levels: Shared now and an
-    /// Exclusive upgrade at the write (the historical baseline), or an
-    /// update-mode (U) lock taken at the read, which serialises would-be
-    /// upgraders and removes the S→X upgrade-deadlock cascade.  Plain
-    /// reads and the multiversion levels are unaffected.
-    pub upgrade: UpgradeStrategy,
     /// Which read discipline the default ([`BackendKind::MvStore`])
     /// backend uses: the epoch-pinned lock-free path (default) or the
-    /// stripe-read-lock baseline the read-heavy bench series measures
-    /// against.  The log-structured backend ignores the knob.
+    /// stripe-read-lock path.  The log-structured backend ignores it.
     pub read_path: ReadPath,
     /// Whether the storage backend persists to disk.  Ephemeral (default)
     /// keeps everything in memory; [`Durability::Fsync`] gives the
     /// log-structured backend a write-ahead directory with fsync on every
-    /// commit boundary.  [`BackendKind::MvStore`] ignores the knob.
+    /// commit boundary.  [`BackendKind::MvStore`] ignores it.
     pub durability: Durability,
     /// How a durable log-structured backend schedules its commit fsyncs:
     /// one per writing commit ([`GroupCommit::Off`], the default), or
@@ -87,18 +72,6 @@ pub struct EngineConfig {
     /// Ignored unless `durability` is [`Durability::Fsync`] and the
     /// backend is [`BackendKind::LogStructured`].
     pub group_commit: GroupCommit,
-    /// Whether an uncontended lock acquisition may overtake conflicting
-    /// parked waiters (only observable under [`LockWaitPolicy::Block`]):
-    /// barging by default, or the strict-FIFO fast path whose throughput
-    /// cost the contended-handoff benchmark grid records.
-    pub fairness: FairnessPolicy,
-    /// Whether commit-time change notification is available (on by
-    /// default).  With watchers enabled, a database with zero
-    /// subscriptions pays one atomic load per commit; with the knob off,
-    /// [`crate::Database::watch_key`] and friends hand out inert watchers
-    /// that never receive events — the benchmark baseline for measuring
-    /// the fan-out cost itself.
-    pub watchers: bool,
 }
 
 impl EngineConfig {
@@ -110,26 +83,16 @@ impl EngineConfig {
             lock_wait: LockWaitPolicy::Fail,
             record_history: true,
             shards: critique_storage::DEFAULT_SHARDS,
-            grant: GrantPolicy::default(),
             backend: BackendKind::default(),
-            upgrade: UpgradeStrategy::default(),
             read_path: ReadPath::default(),
             durability: Durability::default(),
             group_commit: GroupCommit::default(),
-            fairness: FairnessPolicy::default(),
-            watchers: true,
         }
     }
 
     /// Switch to blocking lock waits with the given timeout.
     pub fn blocking(mut self, timeout_ms: u64) -> Self {
         self.lock_wait = LockWaitPolicy::Block { timeout_ms };
-        self
-    }
-
-    /// Override the contended-grant policy.
-    pub fn with_grant_policy(mut self, grant: GrantPolicy) -> Self {
-        self.grant = grant;
         self
     }
 
@@ -151,12 +114,6 @@ impl EngineConfig {
         self
     }
 
-    /// Override the read-modify-write locking strategy.
-    pub fn with_upgrade_strategy(mut self, upgrade: UpgradeStrategy) -> Self {
-        self.upgrade = upgrade;
-        self
-    }
-
     /// Override the storage read discipline (MvStore only).
     pub fn with_read_path(mut self, read_path: ReadPath) -> Self {
         self.read_path = read_path;
@@ -175,75 +132,48 @@ impl EngineConfig {
         self.group_commit = group_commit;
         self
     }
-
-    /// Override the lock fast-path fairness policy.
-    pub fn with_fairness(mut self, fairness: FairnessPolicy) -> Self {
-        self.fairness = fairness;
-        self
-    }
-
-    /// Disable commit-time change notification (subscriptions become
-    /// inert; the commit path skips the watcher fast-path check).
-    pub fn without_watchers(mut self) -> Self {
-        self.watchers = false;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The census of engine settings.  The destructure names every field
+    /// with no `..`, so adding one cannot compile without coming here and
+    /// saying why it exists:
+    ///
+    /// * `level` — the paper's subject: which isolation level runs;
+    /// * `lock_wait` — the deterministic interleaving driver needs
+    ///   `Fail`, threaded callers need `Block`;
+    /// * `record_history` — the phenomenon detectors need the history,
+    ///   throughput runs cannot afford it;
+    /// * `shards` — substrate partition count (store, lock table,
+    ///   recorder);
+    /// * `backend` — which of the two storage engines;
+    /// * `read_path` — `MvStore`'s read discipline;
+    /// * `durability`, `group_commit` — whether and how the log store
+    ///   reaches disk.
     #[test]
     fn defaults() {
-        let cfg = EngineConfig::new(IsolationLevel::ReadCommitted);
-        assert_eq!(cfg.level, IsolationLevel::ReadCommitted);
-        assert_eq!(cfg.lock_wait, LockWaitPolicy::Fail);
-        assert!(cfg.record_history);
-        assert_eq!(cfg.shards, critique_storage::DEFAULT_SHARDS);
-        assert_eq!(cfg.grant, GrantPolicy::DirectHandoff);
-        assert_eq!(cfg.backend, BackendKind::MvStore);
-        assert_eq!(cfg.upgrade, UpgradeStrategy::SharedThenUpgrade);
-        assert_eq!(cfg.read_path, ReadPath::Epoch);
-        assert_eq!(cfg.durability, Durability::Ephemeral);
-        assert_eq!(cfg.group_commit, GroupCommit::Off);
-        assert_eq!(cfg.fairness, FairnessPolicy::Barging);
-        assert!(cfg.watchers);
+        let EngineConfig {
+            level,
+            lock_wait,
+            record_history,
+            shards,
+            backend,
+            read_path,
+            durability,
+            group_commit,
+        } = EngineConfig::new(IsolationLevel::ReadCommitted);
+        assert_eq!(level, IsolationLevel::ReadCommitted);
+        assert_eq!(lock_wait, LockWaitPolicy::Fail);
+        assert!(record_history);
+        assert_eq!(shards, critique_storage::DEFAULT_SHARDS);
+        assert_eq!(backend, BackendKind::MvStore);
+        assert_eq!(read_path, ReadPath::Epoch);
+        assert_eq!(durability, Durability::Ephemeral);
+        assert_eq!(group_commit, GroupCommit::Off);
         assert_eq!(LockWaitPolicy::default(), LockWaitPolicy::Fail);
-    }
-
-    #[test]
-    fn watchers_override() {
-        let cfg = EngineConfig::new(IsolationLevel::Serializable).without_watchers();
-        assert!(!cfg.watchers);
-    }
-
-    #[test]
-    fn read_path_override() {
-        let cfg =
-            EngineConfig::new(IsolationLevel::SnapshotIsolation).with_read_path(ReadPath::Locked);
-        assert_eq!(cfg.read_path, ReadPath::Locked);
-    }
-
-    #[test]
-    fn upgrade_strategy_override() {
-        let cfg = EngineConfig::new(IsolationLevel::Serializable)
-            .with_upgrade_strategy(UpgradeStrategy::UpdateLock);
-        assert_eq!(cfg.upgrade, UpgradeStrategy::UpdateLock);
-    }
-
-    #[test]
-    fn backend_override() {
-        let cfg = EngineConfig::new(IsolationLevel::Serializable)
-            .with_backend(BackendKind::LogStructured);
-        assert_eq!(cfg.backend, BackendKind::LogStructured);
-    }
-
-    #[test]
-    fn grant_policy_override() {
-        let cfg =
-            EngineConfig::new(IsolationLevel::Serializable).with_grant_policy(GrantPolicy::WakeAll);
-        assert_eq!(cfg.grant, GrantPolicy::WakeAll);
     }
 
     #[test]
@@ -252,30 +182,6 @@ mod tests {
         assert_eq!(cfg.shards, 1);
         let cfg = EngineConfig::new(IsolationLevel::ReadCommitted).with_shards(4);
         assert_eq!(cfg.shards, 4);
-    }
-
-    #[test]
-    fn durability_override() {
-        let cfg = EngineConfig::new(IsolationLevel::Serializable)
-            .with_backend(BackendKind::LogStructured)
-            .with_durability(Durability::Fsync);
-        assert_eq!(cfg.durability, Durability::Fsync);
-    }
-
-    #[test]
-    fn group_commit_override() {
-        let cfg = EngineConfig::new(IsolationLevel::Serializable)
-            .with_backend(BackendKind::LogStructured)
-            .with_durability(Durability::Fsync)
-            .with_group_commit(GroupCommit::On { window_micros: 150 });
-        assert_eq!(cfg.group_commit, GroupCommit::On { window_micros: 150 });
-    }
-
-    #[test]
-    fn fairness_override() {
-        let cfg = EngineConfig::new(IsolationLevel::Serializable)
-            .with_fairness(FairnessPolicy::QueueFifo);
-        assert_eq!(cfg.fairness, FairnessPolicy::QueueFifo);
     }
 
     #[test]

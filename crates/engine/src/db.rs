@@ -15,7 +15,8 @@ use critique_core::IsolationLevel;
 use critique_history::History;
 use critique_lock::LockManager;
 use critique_storage::{
-    Condition, MvReadStats, Row, RowId, RowPredicate, StorageBackend, TimestampOracle, TxnToken,
+    Condition, MvReadStats, MvStore, Row, RowId, RowPredicate, StorageBackend, TimestampOracle,
+    TxnToken,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,11 +37,6 @@ pub(crate) struct DbInner {
     /// makes the Snapshot Isolation First-Committer-Wins check atomic with
     /// the commit it guards.  Reads, writes, and aborts never take it.
     pub(crate) commit_seq: Mutex<()>,
-    /// The MvStore read-path counters, when the configured backend has
-    /// them (`None` on the log-structured backend).  Handed out by the
-    /// constructor side channel so the [`StorageBackend`] trait stays
-    /// untouched.
-    pub(crate) read_stats: Option<Arc<MvReadStats>>,
     /// Commit-time change notification: the subscription registry and the
     /// durable-prefix staging queue.  The commit path stages change-sets
     /// under [`DbInner::commit_seq`] (so staging order is commit-timestamp
@@ -71,13 +67,13 @@ impl Database {
     pub fn with_config(config: EngineConfig) -> Self {
         // The only place a concrete backend is named is behind this
         // `BackendKind` constructor.
-        let (store, read_stats) = config.backend.build_durable_with_stats(
+        let store = config.backend.build(
             config.shards,
             config.read_path,
             config.durability,
             config.group_commit,
         );
-        Self::assemble(config, store, read_stats)
+        Self::with_store(config, store)
     }
 
     /// Create a database over an existing storage backend — the recovery
@@ -88,25 +84,14 @@ impl Database {
     /// crash should follow up with [`Database::advance_clock_past`] so new
     /// commits outrank everything recovered.
     pub fn with_store(config: EngineConfig, store: Box<dyn StorageBackend>) -> Self {
-        Self::assemble(config, store, None)
-    }
-
-    fn assemble(
-        config: EngineConfig,
-        store: Box<dyn StorageBackend>,
-        read_stats: Option<Arc<MvReadStats>>,
-    ) -> Self {
         Database {
             inner: Arc::new(DbInner {
                 profile: LockProfile::for_level(config.level),
                 store,
-                read_stats,
-                locks: LockManager::with_shards(config.shards)
-                    .with_policy(config.grant)
-                    .with_fairness(config.fairness),
+                locks: LockManager::with_shards(config.shards),
                 ts: TimestampOracle::new(),
                 recorder: HistoryRecorder::with_shards(config.record_history, config.shards),
-                watch: WatchHub::new(config.watchers),
+                watch: WatchHub::new(),
                 commit_seq: Mutex::new(()),
                 next_txn: AtomicU64::new(1),
                 config,
@@ -192,12 +177,15 @@ impl Database {
         self.inner.locks.total_held()
     }
 
-    /// The MvStore read-path counters (stripe-lock acquisitions, epoch
-    /// pins), if the configured backend exposes them.  The workload
-    /// drivers assert through this that a read-only run under the epoch
-    /// path acquires zero stripe locks.
+    /// The [`MvStore`] read-path counters (stripe-lock acquisitions, epoch
+    /// pins) of the store this database runs on — `None` on any other
+    /// backend.  The workload drivers assert through this that a
+    /// read-only run under the epoch path acquires zero stripe locks.
     pub fn mv_read_stats(&self) -> Option<Arc<MvReadStats>> {
-        self.inner.read_stats.clone()
+        self.store()
+            .as_any()
+            .downcast_ref::<MvStore>()
+            .map(MvStore::read_stats)
     }
 
     // ------------------------------------------------------------------
@@ -307,6 +295,31 @@ mod tests {
             );
             assert!(format!("{db:?}").contains(backend.label()));
         }
+    }
+
+    #[test]
+    fn an_injected_mvstore_reports_its_read_pins() {
+        let db = Database::with_store(
+            EngineConfig::new(IsolationLevel::SnapshotIsolation),
+            Box::new(MvStore::new()),
+        );
+        let stats = db
+            .mv_read_stats()
+            .expect("the counters travel with the store");
+        let setup = db.begin();
+        let id = setup.insert("t", Row::new().with("value", 1)).unwrap();
+        setup.commit().unwrap();
+        let before = stats.read_pins();
+        let reader = db.begin();
+        reader.read("t", id).unwrap();
+        reader.commit().unwrap();
+        assert!(stats.read_pins() > before, "the read pinned an epoch");
+
+        let log = Database::with_config(
+            EngineConfig::new(IsolationLevel::SnapshotIsolation)
+                .with_backend(crate::config::BackendKind::LogStructured),
+        );
+        assert!(log.mv_read_stats().is_none());
     }
 
     #[test]

@@ -46,8 +46,7 @@ pub mod txn;
 pub mod watch;
 
 pub use crate::config::{
-    BackendKind, Durability, EngineConfig, FairnessPolicy, GrantPolicy, GroupCommit,
-    LockWaitPolicy, ReadPath, UpgradeStrategy,
+    BackendKind, Durability, EngineConfig, GroupCommit, LockWaitPolicy, ReadPath,
 };
 pub use crate::cursor::CursorId;
 pub use crate::db::Database;
@@ -58,8 +57,7 @@ pub use crate::watch::{ChangeEvent, ChangeKind, RowChange, Watcher};
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
     pub use crate::config::{
-        BackendKind, Durability, EngineConfig, FairnessPolicy, GrantPolicy, GroupCommit,
-        LockWaitPolicy, ReadPath, UpgradeStrategy,
+        BackendKind, Durability, EngineConfig, GroupCommit, LockWaitPolicy, ReadPath,
     };
     pub use crate::cursor::CursorId;
     pub use crate::db::Database;

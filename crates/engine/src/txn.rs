@@ -6,7 +6,7 @@ use crate::error::TxnError;
 use crate::LockWaitPolicy;
 use critique_core::locking::{LockDuration, LockRequirement};
 use critique_core::IsolationLevel;
-use critique_lock::{AcquireError, LockMode, LockOutcome, LockTarget, UpgradeStrategy};
+use critique_lock::{AcquireError, LockMode, LockOutcome, LockTarget};
 use critique_storage::{
     Comparison, Condition, KeyInterval, Row, RowId, RowPredicate, ScanView, Timestamp, TxnToken,
 };
@@ -252,28 +252,24 @@ impl Transaction {
     }
 
     /// Read a single row with declared intent to write it (`SELECT … FOR
-    /// UPDATE`).  The configured [`UpgradeStrategy`] decides how the
-    /// read locks at the locking levels:
-    ///
-    /// * under [`UpgradeStrategy::SharedThenUpgrade`] this is exactly
-    ///   [`Transaction::read`] — a Shared lock now, the Exclusive upgrade
-    ///   at the write (the historical read-modify-write baseline);
-    /// * under [`UpgradeStrategy::UpdateLock`] the read takes an
-    ///   update-mode (U) lock held for the *write* duration, so at most
-    ///   one would-be upgrader holds the item at a time and the later
-    ///   U→X conversion waits only for plain Shared holders to drain —
-    ///   the S→X upgrade-deadlock cascade cannot form.
+    /// UPDATE`).  At the locking levels the read takes an update-mode (U)
+    /// lock held for the *write* duration, so at most one would-be
+    /// upgrader holds the item at a time and the later U→X conversion
+    /// waits only for plain Shared holders to drain — the S→X
+    /// upgrade-deadlock cascade cannot form.  (The Table 2 shape, a
+    /// Shared read lock upgraded to Exclusive at the write, is
+    /// [`Transaction::read`] followed by [`Transaction::update`].)
     ///
     /// The multiversion levels (Snapshot Isolation, Oracle Read
-    /// Consistency) take no read locks either way; their write conflicts
-    /// are resolved by First-Committer-Wins / first-writer-wins as usual.
+    /// Consistency) take no read locks; their write conflicts are
+    /// resolved by First-Committer-Wins / first-writer-wins as usual.
     pub fn read_for_update(&self, table: &str, row: RowId) -> Result<Option<Row>, TxnError> {
         self.ensure_active()?;
         let locking = !matches!(
             self.db.config.level,
             IsolationLevel::SnapshotIsolation | IsolationLevel::OracleReadConsistency
         );
-        if !locking || self.db.config.upgrade == UpgradeStrategy::SharedThenUpgrade {
+        if !locking {
             return self.read(table, row);
         }
         // A declaration of write intent: the U lock lives as long as the
@@ -415,12 +411,10 @@ impl Transaction {
 
     /// [`Transaction::read_range`] with declared intent to write the rows
     /// in the range (`SELECT … FOR UPDATE` over a key interval).  Mirrors
-    /// [`Transaction::read_for_update`]: under
-    /// [`UpgradeStrategy::SharedThenUpgrade`] this is exactly `read_range`,
-    /// and under [`UpgradeStrategy::UpdateLock`] the interval predicate is
-    /// locked in Update mode for the write duration — so two writers over
-    /// provably disjoint ranges of one table proceed concurrently while
-    /// overlapping ranges still serialize.
+    /// [`Transaction::read_for_update`]: at the locking levels the
+    /// interval predicate is locked in Update mode for the write duration
+    /// — so two writers over provably disjoint ranges of one table proceed
+    /// concurrently while overlapping ranges still serialize.
     pub fn read_range_for_update(
         &self,
         table: &str,
@@ -432,7 +426,7 @@ impl Transaction {
             self.db.config.level,
             IsolationLevel::SnapshotIsolation | IsolationLevel::OracleReadConsistency
         );
-        if !locking || self.db.config.upgrade == UpgradeStrategy::SharedThenUpgrade {
+        if !locking {
             return self.read_range(table, column, range);
         }
         let predicate = RowPredicate::new(table, Self::range_condition(column, range));

@@ -36,9 +36,8 @@
 //! scope matches the whole change-set share one allocation (the queues
 //! hold `Arc`s), so fanning a commit out to ten thousand table watchers
 //! costs ten thousand pointer pushes, not ten thousand deep copies — the
-//! `watch_fanout` series in `BENCH_scaling.json` measures exactly this.
-//! Backpressure and async delivery belong to the async-runtime roadmap
-//! item.
+//! benchmark's `watch_fanout_rc` workload measures the commit-path cost
+//! of that walk.
 
 use critique_storage::{
     Condition, KeyInterval, Row, RowId, RowPredicate, StorageBackend, Timestamp, TxnToken,
@@ -193,9 +192,6 @@ struct PendingCommit {
 }
 
 struct HubCore {
-    /// Mirrors [`crate::EngineConfig::watchers`]; when false, subscribing
-    /// is inert and the commit path never stages anything.
-    enabled: bool,
     /// Registered-subscription count, read with one atomic load on every
     /// commit so a database with no watchers pays nothing.
     subscribers: AtomicUsize,
@@ -224,10 +220,9 @@ pub(crate) struct StagedChanges {
 }
 
 impl WatchHub {
-    pub(crate) fn new(enabled: bool) -> Self {
+    pub(crate) fn new() -> Self {
         WatchHub {
             core: Arc::new(HubCore {
-                enabled,
                 subscribers: AtomicUsize::new(0),
                 subs: Mutex::new(Vec::new()),
                 pending: Mutex::new(VecDeque::new()),
@@ -237,11 +232,11 @@ impl WatchHub {
         }
     }
 
-    /// True when a commit should collect its change-set: watchers are
-    /// enabled and at least one subscription exists. One relaxed atomic
-    /// load — the no-watcher fast path costs nothing on the commit path.
+    /// True when a commit should collect its change-set: at least one
+    /// subscription exists. One atomic load — a database with no watchers
+    /// pays nothing more on the commit path.
     fn wants_changes(&self) -> bool {
-        self.core.enabled && self.core.subscribers.load(Ordering::Acquire) > 0
+        self.core.subscribers.load(Ordering::Acquire) > 0
     }
 
     fn subscribe(&self, scope: Scope) -> Watcher {
@@ -251,18 +246,16 @@ impl WatchHub {
             ready: Condvar::new(),
         });
         let description = scope.describe();
-        if self.core.enabled {
-            let mut subs = self.core.subs.lock();
-            subs.push(Subscription {
-                id,
-                scope,
-                queue: Arc::clone(&queue),
-            });
-            // Release pairs with the Acquire in `wants_changes`: a commit
-            // sequence beginning after this store observes the
-            // subscription.
-            self.core.subscribers.fetch_add(1, Ordering::Release);
-        }
+        let mut subs = self.core.subs.lock();
+        subs.push(Subscription {
+            id,
+            scope,
+            queue: Arc::clone(&queue),
+        });
+        // Release pairs with the Acquire in `wants_changes`: a commit
+        // sequence beginning after this store observes the subscription.
+        self.core.subscribers.fetch_add(1, Ordering::Release);
+        drop(subs);
         Watcher {
             core: Arc::clone(&self.core),
             id,
@@ -350,9 +343,6 @@ impl WatchHub {
     /// durable *prefix* keeps delivery in commit order even when
     /// committers reach this point out of timestamp order.
     pub(crate) fn publish(&self, commit_ts: Timestamp) {
-        if !self.core.enabled {
-            return;
-        }
         {
             let pending = self.core.pending.lock();
             if pending.is_empty() {
@@ -604,7 +594,7 @@ mod tests {
 
     #[test]
     fn durable_prefix_blocks_out_of_order_publication() {
-        let hub = WatchHub::new(true);
+        let hub = WatchHub::new();
         let watcher = hub.watch_table("t");
         let ev = |ts: u64| {
             vec![change(
@@ -639,18 +629,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hub_registers_inert_watchers() {
-        let hub = WatchHub::new(false);
-        let watcher = hub.watch_table("t");
-        assert!(!hub.wants_changes());
-        hub.publish(Timestamp(1));
-        assert_eq!(watcher.pending(), 0);
-        assert_eq!(watcher.try_recv(), None);
-    }
-
-    #[test]
     fn dropping_a_watcher_unregisters_it() {
-        let hub = WatchHub::new(true);
+        let hub = WatchHub::new();
         let watcher = hub.watch_key("t", RowId(0));
         assert!(hub.wants_changes());
         drop(watcher);

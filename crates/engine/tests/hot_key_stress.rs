@@ -1,34 +1,31 @@
 //! Engine-level hot-key stress: N workers hammer one row with
 //! read-modify-write transactions under SERIALIZABLE and blocking waits,
-//! across the `{grant policy} × {upgrade strategy}` matrix (CI runs each
-//! cell as a name-filtered job: `hot_key_<policy>_<strategy>`).
+//! in the two shapes the API gives a read-modify-write (CI runs both
+//! cells in `--release`).
 //!
-//! Every transaction reads the hot balance with declared write intent
-//! (`read_for_update`) and then updates it.  Under
-//! `UpgradeStrategy::SharedThenUpgrade` that is the canonical deadlock
-//! mill (long Shared lock, then the Exclusive upgrade); under
-//! `UpgradeStrategy::UpdateLock` the read takes a U lock and the mill
-//! *cannot* turn — the update-lock legs assert **zero** deadlock victims.
-//! Either way, with the event-driven wait-queues every wait must end in a
-//! grant or a prompt verdict: at a sane deadline there must be zero
-//! timeouts, deadlock victims retry, and the final balance must equal the
+//! With a plain `read` before the `update` this is the canonical deadlock
+//! mill (long Shared lock, then the Exclusive upgrade): victims retry and
+//! the run must merely complete.  With `read_for_update` the read takes a
+//! U lock and the mill *cannot* turn — that cell asserts **zero**
+//! deadlock victims.  Either way, with the event-driven wait-queues
+//! every wait must end in a grant or a prompt verdict: at a sane deadline
+//! there must be zero timeouts, and the final balance must equal the
 //! number of committed increments exactly.
 
 use critique_core::IsolationLevel;
-use critique_engine::{Database, EngineConfig, GrantPolicy, TxnError, UpgradeStrategy};
+use critique_engine::{Database, EngineConfig, TxnError};
 use critique_storage::Row;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn hammer(grant: GrantPolicy, upgrade: UpgradeStrategy) -> u64 {
+/// Returns the number of deadlock victims the run retried.
+fn hammer(declare_intent: bool) -> u64 {
     const WORKERS: u64 = 8;
     const INCREMENTS_PER_WORKER: u64 = 20;
 
     let config = EngineConfig::new(IsolationLevel::Serializable)
         .blocking(20_000)
-        .without_history()
-        .with_grant_policy(grant)
-        .with_upgrade_strategy(upgrade);
+        .without_history();
     let db = Database::with_config(config);
     let setup = db.begin();
     let hot = setup
@@ -46,17 +43,18 @@ fn hammer(grant: GrantPolicy, upgrade: UpgradeStrategy) -> u64 {
                     // Retry the increment until it commits; only deadlock
                     // verdicts may send us around the loop again.  Victims
                     // back off briefly before retrying, as any real client
-                    // would — under WakeAll the victim's own thread can
-                    // otherwise re-grab its shared lock before the nudged
-                    // waiter even wakes (the barging livelock DirectHandoff
-                    // exists to prevent).
+                    // would.
                     let mut attempts = 0;
                     loop {
                         attempts += 1;
                         assert!(attempts < 10_000, "increment livelocked");
                         let txn = db.begin();
-                        let result = txn
-                            .read_for_update("accounts", hot)
+                        let read = if declare_intent {
+                            txn.read_for_update("accounts", hot)
+                        } else {
+                            txn.read("accounts", hot)
+                        };
+                        let result = read
                             .and_then(|row| {
                                 let balance = row.and_then(|r| r.get_int("balance")).unwrap_or(0);
                                 txn.update("accounts", hot, Row::new().with("balance", balance + 1))
@@ -87,41 +85,22 @@ fn hammer(grant: GrantPolicy, upgrade: UpgradeStrategy) -> u64 {
     let deadlocks = deadlocks.load(Ordering::Relaxed);
     assert_eq!(
         balance, expected,
-        "every committed increment lands exactly once ({grant:?}/{upgrade:?}, \
-         {deadlocks} deadlock retries)"
+        "every committed increment lands exactly once ({deadlocks} deadlock retries)"
     );
-    assert_eq!(db.locks_held(), 0, "no lock leaked ({grant:?}/{upgrade:?})");
+    assert_eq!(db.locks_held(), 0, "no lock leaked");
     deadlocks
 }
 
 #[test]
-fn hot_key_direct_handoff_shared_then_upgrade() {
-    hammer(
-        GrantPolicy::DirectHandoff,
-        UpgradeStrategy::SharedThenUpgrade,
-    );
+fn hot_key_read_then_update_completes() {
+    hammer(false);
 }
 
 #[test]
-fn hot_key_wake_all_shared_then_upgrade() {
-    hammer(GrantPolicy::WakeAll, UpgradeStrategy::SharedThenUpgrade);
-}
-
-#[test]
-fn hot_key_direct_handoff_update_lock() {
-    let deadlocks = hammer(GrantPolicy::DirectHandoff, UpgradeStrategy::UpdateLock);
+fn hot_key_read_for_update_has_zero_deadlock_victims() {
     assert_eq!(
-        deadlocks, 0,
-        "U-lock reads leave nothing to deadlock on a single hot key: \
-         the batch-grant cascade is gone"
-    );
-}
-
-#[test]
-fn hot_key_wake_all_update_lock() {
-    let deadlocks = hammer(GrantPolicy::WakeAll, UpgradeStrategy::UpdateLock);
-    assert_eq!(
-        deadlocks, 0,
+        hammer(true),
+        0,
         "U-lock reads leave nothing to deadlock on a single hot key"
     );
 }

@@ -10,7 +10,7 @@
 //! new deadlocks on a hot table.
 
 use critique_core::IsolationLevel;
-use critique_engine::{Database, EngineConfig, TxnError, UpgradeStrategy};
+use critique_engine::{Database, EngineConfig, TxnError};
 use critique_storage::{KeyInterval, Row};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -32,9 +32,7 @@ fn seed(db: &Database, rows: i64) {
 fn disjoint_range_for_update_reads_do_not_block() {
     // Fail-fast lock waits make the regression deterministic: any false
     // conflict surfaces as an immediate `WouldBlock`, not a stall.
-    let config = EngineConfig::new(IsolationLevel::Serializable)
-        .with_upgrade_strategy(UpgradeStrategy::UpdateLock);
-    let db = Database::with_config(config);
+    let db = Database::new(IsolationLevel::Serializable);
     seed(&db, 40);
 
     let low_writer = db.begin();
@@ -87,9 +85,7 @@ fn unbounded_range_still_conflicts_with_every_bounded_one() {
     // The conservatism contract: a range with no extractable bound falls
     // back to the whole-table interval and conflicts with any bounded
     // range on the table.
-    let config = EngineConfig::new(IsolationLevel::Serializable)
-        .with_upgrade_strategy(UpgradeStrategy::UpdateLock);
-    let db = Database::with_config(config);
+    let db = Database::new(IsolationLevel::Serializable);
     seed(&db, 10);
 
     let bounded = db.begin();
@@ -122,8 +118,7 @@ fn hot_table_range_stress_no_new_deadlocks() {
 
     let config = EngineConfig::new(IsolationLevel::Serializable)
         .blocking(20_000)
-        .without_history()
-        .with_upgrade_strategy(UpgradeStrategy::UpdateLock);
+        .without_history();
     let db = Database::with_config(config);
     seed(&db, WORKERS * STRIPE);
 

@@ -687,11 +687,12 @@ fn locking_serializable_histories_are_conflict_serializable() {
 }
 
 // ---------------------------------------------------------------------
-// Update-mode (U) locks: SELECT … FOR UPDATE under UpgradeStrategy.
+// The two read-modify-write shapes: `read` + `update` (the Table 2 S→X
+// upgrade) and `read_for_update` + `update` (a U lock at the read).
 // ---------------------------------------------------------------------
 
-fn bank_with_upgrade(level: IsolationLevel, upgrade: UpgradeStrategy) -> (Database, RowId) {
-    let db = Database::with_config(EngineConfig::new(level).with_upgrade_strategy(upgrade));
+fn one_account(config: EngineConfig) -> (Database, RowId) {
+    let db = Database::with_config(config);
     let setup = db.begin();
     let x = setup
         .insert("accounts", Row::new().with("balance", 50))
@@ -703,7 +704,7 @@ fn bank_with_upgrade(level: IsolationLevel, upgrade: UpgradeStrategy) -> (Databa
 
 #[test]
 fn update_lock_serialises_would_be_upgraders_at_the_read() {
-    let (db, x) = bank_with_upgrade(IsolationLevel::Serializable, UpgradeStrategy::UpdateLock);
+    let (db, x) = one_account(EngineConfig::new(IsolationLevel::Serializable));
     let t1 = db.begin();
     let t2 = db.begin();
     assert!(t1.read_for_update("accounts", x).unwrap().is_some());
@@ -736,7 +737,7 @@ fn update_lock_serialises_would_be_upgraders_at_the_read() {
 
 #[test]
 fn update_lock_is_granted_while_shared_readers_hold_the_item() {
-    let (db, x) = bank_with_upgrade(IsolationLevel::Serializable, UpgradeStrategy::UpdateLock);
+    let (db, x) = one_account(EngineConfig::new(IsolationLevel::Serializable));
     let reader = db.begin();
     assert!(reader.read("accounts", x).unwrap().is_some());
     // U is compatible with held S: the updater announces itself while the
@@ -757,17 +758,14 @@ fn update_lock_is_granted_while_shared_readers_hold_the_item() {
 }
 
 #[test]
-fn shared_then_upgrade_strategy_reads_for_update_like_plain_reads() {
-    let (db, x) = bank_with_upgrade(
-        IsolationLevel::Serializable,
-        UpgradeStrategy::SharedThenUpgrade,
-    );
+fn plain_reads_collide_only_at_the_upgrade() {
+    let (db, x) = one_account(EngineConfig::new(IsolationLevel::Serializable));
     let t1 = db.begin();
     let t2 = db.begin();
-    // The baseline strategy changes nothing: both RMW reads are granted
-    // Shared, and the upgrade collision is still possible later.
-    assert!(t1.read_for_update("accounts", x).unwrap().is_some());
-    assert!(t2.read_for_update("accounts", x).unwrap().is_some());
+    // Plain reads declare nothing: both are granted Shared, and the
+    // collision happens later, at the first Exclusive upgrade.
+    assert!(t1.read("accounts", x).unwrap().is_some());
+    assert!(t2.read("accounts", x).unwrap().is_some());
     assert!(matches!(
         t1.update("accounts", x, Row::new().with("balance", 1)),
         Err(TxnError::WouldBlock { .. })
@@ -775,12 +773,12 @@ fn shared_then_upgrade_strategy_reads_for_update_like_plain_reads() {
 }
 
 #[test]
-fn multiversion_levels_ignore_the_update_lock_strategy() {
+fn multiversion_levels_take_no_lock_for_a_read_for_update() {
     for level in [
         IsolationLevel::SnapshotIsolation,
         IsolationLevel::OracleReadConsistency,
     ] {
-        let (db, x) = bank_with_upgrade(level, UpgradeStrategy::UpdateLock);
+        let (db, x) = one_account(EngineConfig::new(level));
         let t1 = db.begin();
         let t2 = db.begin();
         // No read locks at the multiversion levels, FOR UPDATE or not.
@@ -789,5 +787,77 @@ fn multiversion_levels_ignore_the_update_lock_strategy() {
         assert_eq!(db.locks_held(), 0, "{level}");
         let _ = t1.abort();
         let _ = t2.abort();
+    }
+}
+
+/// Run the same read-modify-write on one row from two threads under
+/// blocking lock waits, both holding their read lock before either
+/// writes, and return how many of the two were deadlock victims.
+fn rmw_pair_victims(level: IsolationLevel, declare_intent: bool) -> (Database, RowId, usize) {
+    let (db, x) = one_account(EngineConfig::new(level).blocking(10_000));
+    let both_have_read = std::sync::Barrier::new(2);
+    let victims = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let txn = db.begin();
+                    let read = if declare_intent {
+                        // The second U request parks until the first
+                        // holder commits, so the reads cannot rendezvous.
+                        txn.read_for_update("accounts", x)
+                    } else {
+                        let read = txn.read("accounts", x);
+                        both_have_read.wait();
+                        read
+                    };
+                    let balance = read.unwrap().unwrap().get_int("balance").unwrap();
+                    match txn.update("accounts", x, Row::new().with("balance", balance + 1)) {
+                        Ok(()) => {
+                            txn.commit().unwrap();
+                            0
+                        }
+                        Err(TxnError::Deadlock) => 1,
+                        Err(other) => panic!("unexpected {other:?}"),
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rmw worker"))
+            .sum()
+    });
+    (db, x, victims)
+}
+
+#[test]
+fn read_then_update_pair_produces_exactly_one_deadlock_victim() {
+    // The paper's upgrade deadlock: both hold S(x), both want X(x).  The
+    // first upgrade parks behind the other's S; the second closes the
+    // cycle and is the victim; the survivor's write commits.
+    let (db, x, victims) = rmw_pair_victims(IsolationLevel::Serializable, false);
+    assert_eq!(victims, 1);
+    assert_eq!(balance(&db, x), 51);
+    assert_eq!(db.locks_held(), 0);
+}
+
+#[test]
+fn read_for_update_pair_serialises_with_zero_victims_at_every_locking_level() {
+    for level in [
+        IsolationLevel::Degree0,
+        IsolationLevel::ReadUncommitted,
+        IsolationLevel::ReadCommitted,
+        IsolationLevel::CursorStability,
+        IsolationLevel::RepeatableRead,
+        IsolationLevel::Serializable,
+    ] {
+        let (db, x, victims) = rmw_pair_victims(level, true);
+        assert_eq!(victims, 0, "{level}");
+        assert_eq!(db.locks_held(), 0, "{level}");
+        // Above Degree 0 the U lock lasts as long as the write lock it
+        // announces, so the second RMW reads the first one's result.
+        if level != IsolationLevel::Degree0 {
+            assert_eq!(balance(&db, x), 52, "{level}");
+        }
     }
 }

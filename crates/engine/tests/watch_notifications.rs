@@ -254,21 +254,6 @@ fn group_commit_batches_notify_after_the_fsync() {
 }
 
 #[test]
-fn disabled_watchers_are_inert_and_commits_still_work() {
-    let db =
-        Database::with_config(EngineConfig::new(IsolationLevel::Serializable).without_watchers());
-    let watcher = db.watch_table("t");
-    let t = db.begin();
-    let id = t.insert("t", Row::new().with("value", 1)).unwrap();
-    t.commit().unwrap();
-    assert_eq!(watcher.pending(), 0);
-    assert_eq!(
-        db.read_committed("t", id).unwrap().get_int("value"),
-        Some(1)
-    );
-}
-
-#[test]
 fn dropped_watchers_stop_receiving() {
     let db = db_on(BackendKind::MvStore);
     let keep = db.watch_table("t");

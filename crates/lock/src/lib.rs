@@ -14,7 +14,7 @@
 //!   decided against the row images supplied by the caller;
 //! * short, cursor, and long durations (the engine releases short locks
 //!   after each action, cursor locks when the cursor moves, long locks at
-//!   commit/abort — exactly the knobs Table 2 varies);
+//!   commit/abort — the durations Table 2 varies);
 //! * non-blocking [`LockManager::try_acquire`] for the deterministic
 //!   interleaving driver, and blocking [`LockManager::acquire`] for the
 //!   threaded workloads: blocked requests park on event-driven per-lock
@@ -50,11 +50,11 @@ pub mod waitqueue;
 
 pub use crate::deadlock::WaitsForGraph;
 pub use crate::manager::{AcquireError, LockManager, LockOutcome, DEFAULT_LOCK_SHARDS};
-pub use crate::mode::{LockMode, UpgradeStrategy};
+pub use crate::mode::LockMode;
 pub use crate::target::LockTarget;
 pub use crate::waitqueue::{
     conversion_first, is_conversion, requests_conflict, sweep_plan, upgrade_aware_plan,
-    FairnessPolicy, GrantPolicy, QueuedRequest,
+    QueuedRequest,
 };
 pub use critique_core::locking::LockDuration;
 
@@ -62,11 +62,11 @@ pub use critique_core::locking::LockDuration;
 pub mod prelude {
     pub use crate::deadlock::WaitsForGraph;
     pub use crate::manager::{AcquireError, LockManager, LockOutcome, DEFAULT_LOCK_SHARDS};
-    pub use crate::mode::{LockMode, UpgradeStrategy};
+    pub use crate::mode::LockMode;
     pub use crate::target::LockTarget;
     pub use crate::waitqueue::{
         conversion_first, is_conversion, requests_conflict, sweep_plan, upgrade_aware_plan,
-        FairnessPolicy, GrantPolicy, QueuedRequest,
+        QueuedRequest,
     };
     pub use critique_core::locking::LockDuration;
 }

@@ -1,4 +1,10 @@
 //! Lock modes and their compatibility.
+//!
+//! Three modes, one asymmetric matrix ([`LockMode::conflicts_with`]).  A
+//! transaction that only reads takes [`LockMode::Shared`]; one that reads
+//! a row it is about to write takes [`LockMode::Update`] at the read and
+//! converts it to [`LockMode::Exclusive`] at the write; a blind write
+//! takes Exclusive directly.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -74,48 +80,6 @@ impl fmt::Display for LockMode {
     }
 }
 
-/// How a read-modify-write transaction locks the read that precedes its
-/// write at the locking isolation levels.
-///
-/// This is the `EngineConfig`/`MixedWorkload` knob behind the ROADMAP's
-/// upgrade-deadlock item: under [`UpgradeStrategy::SharedThenUpgrade`] a
-/// release sweep can batch-grant Shared to several parked readers whose
-/// subsequent Exclusive upgrades then deadlock each other; under
-/// [`UpgradeStrategy::UpdateLock`] the read announces the write up front,
-/// so at most one would-be upgrader holds the item at a time and the
-/// cascade cannot form.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum UpgradeStrategy {
-    /// Read-for-update behaves like a plain read: take Shared at the
-    /// level's read duration and upgrade to Exclusive at the write.  The
-    /// historical behaviour, kept as the measured baseline.
-    #[default]
-    SharedThenUpgrade,
-    /// Read-for-update takes an [`LockMode::Update`] lock held to the
-    /// write duration; the write converts it to Exclusive, waiting only
-    /// for plain Shared holders to drain.
-    UpdateLock,
-}
-
-impl UpgradeStrategy {
-    /// The lock mode a read-for-update acquires under this strategy.
-    pub fn read_for_update_mode(&self) -> LockMode {
-        match self {
-            UpgradeStrategy::SharedThenUpgrade => LockMode::Shared,
-            UpgradeStrategy::UpdateLock => LockMode::Update,
-        }
-    }
-}
-
-impl fmt::Display for UpgradeStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UpgradeStrategy::SharedThenUpgrade => write!(f, "shared-then-upgrade"),
-            UpgradeStrategy::UpdateLock => write!(f, "update-lock"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,26 +130,5 @@ mod tests {
         assert_eq!(LockMode::Shared.to_string(), "S");
         assert_eq!(LockMode::Update.to_string(), "U");
         assert_eq!(LockMode::Exclusive.to_string(), "X");
-    }
-
-    #[test]
-    fn strategy_selects_the_read_mode() {
-        assert_eq!(
-            UpgradeStrategy::SharedThenUpgrade.read_for_update_mode(),
-            LockMode::Shared
-        );
-        assert_eq!(
-            UpgradeStrategy::UpdateLock.read_for_update_mode(),
-            LockMode::Update
-        );
-        assert_eq!(
-            UpgradeStrategy::default(),
-            UpgradeStrategy::SharedThenUpgrade
-        );
-        assert_eq!(
-            UpgradeStrategy::SharedThenUpgrade.to_string(),
-            "shared-then-upgrade"
-        );
-        assert_eq!(UpgradeStrategy::UpdateLock.to_string(), "update-lock");
     }
 }

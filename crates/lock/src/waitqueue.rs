@@ -1,19 +1,15 @@
 //! Event-driven FIFO wait-queues for contended locks.
 //!
-//! The old scheduler parked blocked transactions on per-shard condvars and
-//! re-polled the conflict check at least every 10ms, so lock handoff
-//! latency — not the locking disciplines — dominated contended throughput.
-//! This module replaces the poll with explicit per-lock wait-queues:
-//!
 //! * every contended item or predicate lock keeps an **ordered queue** of
 //!   `Waiter` handles, keyed by `QueueKey` (the item's hash bucket, or
 //!   the table for predicate requests);
 //! * a release **sweeps** the queues whose table it touched, in FIFO
 //!   order, and installs grants *on the waiters' behalf* — a woken waiter
 //!   finds the lock already held, it never re-runs the conflict scan;
-//! * a waiter is woken only by a delivered verdict (grant or deadlock), a
-//!   retry nudge under the [`GrantPolicy::WakeAll`] baseline, or its own
-//!   deadline.  There is no timer anywhere in the wait path.
+//! * a waiter is woken only by a delivered verdict (grant or deadlock) or
+//!   its own deadline.  It never re-polls the lock tables, and apart from
+//!   a bounded look at its own verdict cell before it sleeps there is no
+//!   timer anywhere in the wait path.
 //!
 //! The FIFO discipline of one sweep is specified by the pure function
 //! [`sweep_plan`]: walk the queue front to back and grant every request
@@ -33,52 +29,10 @@ use crate::target::LockTarget;
 use critique_core::locking::LockDuration;
 use critique_storage::{Row, TxnToken};
 use parking_lot::{Condvar, Mutex};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// How a release hands contended locks to blocked waiters.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum GrantPolicy {
-    /// The releasing thread walks the affected wait-queues in FIFO order
-    /// and installs each compatible grant on the waiter's behalf before
-    /// waking it: no re-scan by the waiter, no wakeup storm, no barging
-    /// window between the release and the handoff.
-    #[default]
-    DirectHandoff,
-    /// The releasing thread wakes every waiter on the affected tables and
-    /// lets them race to re-acquire — the thundering-herd baseline the
-    /// contended-handoff benchmark compares [`GrantPolicy::DirectHandoff`]
-    /// against.  Still event-driven: waiters are woken by the release,
-    /// never by a timer.
-    WakeAll,
-}
-
-/// Whether an *un*contended acquisition may overtake parked waiters.
-///
-/// The companion knob to [`GrantPolicy`]: grant policy decides how a
-/// release hands locks to the queue, fairness decides whether requests
-/// that never blocked may cut past it.  The contended-handoff benchmark
-/// grid records the throughput cost of strict FIFO rather than assuming
-/// it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum FairnessPolicy {
-    /// The fast path grants any request compatible with the *held* set,
-    /// even past conflicting parked waiters (the classic throughput
-    /// choice, and the default).  Under a steady stream of compatible
-    /// requests a parked conflicting waiter can starve until its
-    /// deadline.
-    #[default]
-    Barging,
-    /// The fast path defers to the queue: a request that conflicts with
-    /// any *waiting* queued request enqueues behind it instead of
-    /// grabbing the lock, buying strict global FIFO at some throughput
-    /// cost.  (`try_acquire` still barges — a non-blocking probe has no
-    /// queue position to respect.)
-    QueueFifo,
-}
+use std::time::{Duration, Instant};
 
 /// One lock request as the FIFO discipline sees it: who is asking for
 /// what.  This is the vocabulary of the pure [`sweep_plan`] specification;
@@ -174,9 +128,8 @@ pub fn is_conversion(held: &[QueuedRequest], req: &QueuedRequest) -> bool {
 /// on the same target is still waiting — granting it would add one more
 /// holder the upgrade has to outwait, which is exactly how the
 /// batch-grant cascade sustains itself.  (The rule orders the wait queue;
-/// it does not close the manager's barging fast path, which never
-/// consults the queue — see the ROADMAP's fairness item.)  Because the
-/// rule is an *ordering* (not a refusal), no wakeup is lost: the
+/// the manager's uncontended fast path never consults the queue.)
+/// Because the rule is an *ordering* (not a refusal), no wakeup is lost: the
 /// held-back request is simply behind the upgrade, and the retire/grant
 /// of the upgrade re-sweeps the queue as usual.
 pub fn conversion_first(held: &[QueuedRequest], queue: &[QueuedRequest]) -> Vec<usize> {
@@ -274,13 +227,14 @@ pub(crate) enum Verdict {
     Victim(Vec<TxnToken>),
 }
 
-struct WaiterCell {
-    /// Bumped on every delivery or nudge so a wakeup racing the park is
-    /// never lost: the waiter parks only while the epoch it read under the
-    /// wait-set mutex is still current.
-    epoch: u64,
-    verdict: Verdict,
-}
+/// How long a blocked request watches its own verdict cell before it
+/// sleeps on the condvar.  A lock handed to a *sleeping* thread stays
+/// reserved for the whole wake-up (about 23 µs from release to the
+/// waiter's `acquire` returning on the benchmark host, `lock.handoff_us`),
+/// and anyone who needs it meanwhile parks behind it; holders are usually
+/// a few microseconds from releasing, so waiting about two wake-ups' worth
+/// catches almost every grant awake.
+const SPIN_BEFORE_SLEEP: Duration = Duration::from_micros(50);
 
 /// One blocked request: the request fields the FIFO discipline needs plus
 /// a private mutex/condvar pair to park on.  Grants and deadlock verdicts
@@ -291,7 +245,10 @@ pub(crate) struct Waiter {
     pub(crate) mode: LockMode,
     pub(crate) images: Vec<Row>,
     pub(crate) duration: LockDuration,
-    cell: Mutex<WaiterCell>,
+    /// Written once, by the delivering thread; a delivery that lands
+    /// between the owner's last look and its park is seen by the park
+    /// itself, so no wakeup is lost.
+    verdict: Mutex<Verdict>,
     wake: Condvar,
 }
 
@@ -309,10 +266,7 @@ impl Waiter {
             mode,
             images,
             duration,
-            cell: Mutex::new(WaiterCell {
-                epoch: 0,
-                verdict: Verdict::Waiting,
-            }),
+            verdict: Mutex::new(Verdict::Waiting),
             wake: Condvar::new(),
         }
     }
@@ -326,45 +280,42 @@ impl Waiter {
         }
     }
 
-    /// Current `(epoch, verdict)`.
-    pub(crate) fn snapshot(&self) -> (u64, Verdict) {
-        let cell = self.cell.lock();
-        (cell.epoch, cell.verdict.clone())
+    /// The current verdict.
+    pub(crate) fn verdict(&self) -> Verdict {
+        self.verdict.lock().clone()
     }
 
     pub(crate) fn is_waiting(&self) -> bool {
-        matches!(self.cell.lock().verdict, Verdict::Waiting)
+        matches!(*self.verdict.lock(), Verdict::Waiting)
     }
 
     /// Deliver a final verdict (only the first delivery sticks).
     pub(crate) fn deliver(&self, verdict: Verdict) {
-        let mut cell = self.cell.lock();
-        if matches!(cell.verdict, Verdict::Waiting) {
-            cell.verdict = verdict;
-            cell.epoch += 1;
+        let mut current = self.verdict.lock();
+        if matches!(*current, Verdict::Waiting) {
+            *current = verdict;
             self.wake.notify_all();
         }
     }
 
-    /// Wake the waiter for a self-retry without deciding its request
-    /// (the [`GrantPolicy::WakeAll`] baseline).
-    pub(crate) fn nudge(&self) {
-        let mut cell = self.cell.lock();
-        cell.epoch += 1;
-        self.wake.notify_all();
-    }
-
-    /// Park until the epoch moves past `seen_epoch`, a verdict lands, or
-    /// the deadline passes.  The caller re-reads the state under the
-    /// wait-set mutex afterwards; this only sleeps.
-    pub(crate) fn park(&self, seen_epoch: u64, deadline: Instant) {
-        let mut cell = self.cell.lock();
-        while matches!(cell.verdict, Verdict::Waiting) && cell.epoch == seen_epoch {
+    /// Wait until a verdict lands or the deadline passes: watch the
+    /// verdict cell for [`SPIN_BEFORE_SLEEP`], then sleep on the condvar.
+    /// The caller re-reads the state under the wait-set mutex afterwards.
+    pub(crate) fn park(&self, deadline: Instant) {
+        let spin_until = (Instant::now() + SPIN_BEFORE_SLEEP).min(deadline);
+        while Instant::now() < spin_until {
+            if !self.is_waiting() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut current = self.verdict.lock();
+        while matches!(*current, Verdict::Waiting) {
             let now = Instant::now();
             if now >= deadline {
                 return;
             }
-            self.wake.wait_for(&mut cell, deadline - now);
+            self.wake.wait_for(&mut current, deadline - now);
         }
     }
 }
@@ -609,11 +560,11 @@ mod tests {
         assert!(w.is_waiting());
         w.deliver(Verdict::Granted);
         w.deliver(Verdict::Victim(vec![TxnToken(1)]));
-        assert!(matches!(w.snapshot().1, Verdict::Granted));
+        assert!(matches!(w.verdict(), Verdict::Granted));
     }
 
     #[test]
-    fn park_returns_immediately_on_stale_epoch() {
+    fn park_returns_immediately_once_a_verdict_has_landed() {
         let w = Waiter::new(
             TxnToken(1),
             LockTarget::item("t", RowId(0)),
@@ -621,11 +572,10 @@ mod tests {
             Vec::new(),
             LockDuration::Long,
         );
-        let (epoch, _) = w.snapshot();
-        w.nudge();
-        // The epoch moved between the snapshot and the park: no sleep.
+        // The delivery raced ahead of the park: no sleep.
+        w.deliver(Verdict::Granted);
         let start = Instant::now();
-        w.park(epoch, Instant::now() + std::time::Duration::from_secs(5));
-        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        w.park(Instant::now() + Duration::from_secs(5));
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

@@ -1,11 +1,11 @@
 //! Threaded stress over the event-driven wait-queues: many workers hammer
-//! one hot key with the read-modify-write pattern that manufactures
-//! upgrade deadlocks, across the `{grant policy} × {upgrade strategy}`
-//! matrix (CI runs each cell as a name-filtered job:
-//! `storm_<policy>_<strategy>` / `cascade_<policy>_<strategy>…`).
+//! one hot key with a read-modify-write, in the two lock shapes a
+//! transaction can give it (CI runs both cells in `--release`:
+//! `storm_shared_read…`, `storm_update_read…`, and the staged `cascade_…`
+//! pair).
 //!
-//! The Shared-then-upgrade legs assert the three properties the scheduler
-//! owes even while deadlocks are possible:
+//! The Shared-read cells assert the three properties the scheduler owes
+//! even while upgrade deadlocks are possible:
 //!
 //! * **no timeouts at sane deadlines** — every wait ends in a grant or a
 //!   deadlock verdict long before the generous deadline, because handoff
@@ -15,11 +15,11 @@
 //! * **progress** — every transaction ends in a grant or a legitimate
 //!   deadlock abort, never a stall.
 //!
-//! The update-lock legs assert the stronger property the U mode buys:
-//! **zero deadlocks**, under either grant policy — would-be upgraders
-//! serialise at the U acquisition, and the U→X conversion has only plain
-//! Shared holders to outwait (none in this workload), so no cycle can
-//! ever form on the hot key.
+//! The Update-read cells assert the stronger property the U mode buys:
+//! **zero deadlocks** — would-be upgraders serialise at the U
+//! acquisition, and the U→X conversion has only plain Shared holders to
+//! outwait (none in this workload), so no cycle can ever form on the hot
+//! key.
 
 use critique_lock::prelude::*;
 use critique_storage::{RowId, TxnToken};
@@ -35,12 +35,12 @@ struct StormOutcome {
 
 /// The hot-key read-modify-write storm: every transaction takes a read
 /// lock of `read_mode` on one hot key, then upgrades it to Exclusive.
-fn storm(policy: GrantPolicy, read_mode: LockMode) -> StormOutcome {
+fn storm(read_mode: LockMode) -> StormOutcome {
     const WORKERS: u64 = 6;
     const TXNS_PER_WORKER: u64 = 25;
     const DEADLINE: Duration = Duration::from_secs(20);
 
-    let lm = Arc::new(LockManager::new().with_policy(policy));
+    let lm = Arc::new(LockManager::new());
     let hot = || LockTarget::item("accounts", RowId(0));
     let timeouts = Arc::new(AtomicU64::new(0));
     let deadlocks = Arc::new(AtomicU64::new(0));
@@ -132,41 +132,27 @@ fn storm(policy: GrantPolicy, read_mode: LockMode) -> StormOutcome {
 }
 
 #[test]
-fn storm_direct_handoff_shared_then_upgrade() {
-    storm(GrantPolicy::DirectHandoff, LockMode::Shared);
+fn storm_shared_read_then_upgrade_completes() {
+    storm(LockMode::Shared);
 }
 
 #[test]
-fn storm_direct_handoff_update_lock() {
-    let outcome = storm(GrantPolicy::DirectHandoff, LockMode::Update);
+fn storm_update_read_has_zero_deadlocks() {
+    let outcome = storm(LockMode::Update);
     assert_eq!(
         outcome.deadlocks, 0,
         "U-mode reads cannot upgrade-deadlock on a single hot key"
     );
 }
 
-#[test]
-fn storm_wake_all_shared_then_upgrade() {
-    storm(GrantPolicy::WakeAll, LockMode::Shared);
-}
-
-#[test]
-fn storm_wake_all_update_lock() {
-    let outcome = storm(GrantPolicy::WakeAll, LockMode::Update);
-    assert_eq!(
-        outcome.deadlocks, 0,
-        "U-mode reads cannot upgrade-deadlock on a single hot key"
-    );
-}
-
-/// The PR 4 batch-grant cascade, reproduced deterministically: a holder
+/// The batch-grant cascade, reproduced deterministically: a holder
 /// keeps X on the hot key while several read-modify-write transactions
 /// park their **Shared** requests; the release then batch-grants every
 /// compatible Shared in one sweep, and the readers' subsequent Exclusive
 /// upgrades deadlock each other — at least one is victimised, every
 /// victim is a genuine cycle-closer, and exactly one survivor upgrades.
 #[test]
-fn cascade_direct_handoff_shared_then_upgrade_victimises_batch_granted_readers() {
+fn cascade_shared_read_victimises_batch_granted_readers() {
     const READERS: u64 = 3;
     let lm = Arc::new(LockManager::new());
     let hot = || LockTarget::item("accounts", RowId(0));
@@ -248,13 +234,12 @@ fn cascade_direct_handoff_shared_then_upgrade_victimises_batch_granted_readers()
     assert_eq!(lm.queued_waiters(), 0);
 }
 
-/// The same staged scenario under `UpgradeStrategy::UpdateLock`'s lock
-/// shape — the parked read-modify-write requests are **Update** mode —
-/// must produce zero victims: the release sweep grants exactly one U (U
+/// The same staged scenario with the parked read-modify-write requests
+/// in **Update** mode must produce zero victims: the release sweep grants exactly one U (U
 /// conflicts with U), that holder upgrades against an empty field,
 /// releases, and the queue drains strictly one upgrader at a time.
 #[test]
-fn cascade_direct_handoff_update_lock_has_zero_victims() {
+fn cascade_update_read_has_zero_victims() {
     const READERS: u64 = 3;
     let lm = Arc::new(LockManager::new());
     let hot = || LockTarget::item("accounts", RowId(0));

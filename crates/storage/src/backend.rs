@@ -31,8 +31,8 @@
 //! # Adding a third backend
 //!
 //! Implement [`StorageBackend`], add a [`BackendKind`] variant wiring its
-//! constructor, and the engine, the workloads, the scaling bench, and the
-//! conformance exerciser pick it up through configuration; extend the
+//! constructor, and the engine, the workloads and the conformance
+//! exerciser pick it up through configuration; extend the
 //! differential test's backend list so equivalence is enforced from the
 //! first commit.
 
@@ -40,12 +40,11 @@ use crate::logstore::{LogStore, LogStoreConfig};
 use crate::predicate::{KeyInterval, RowPredicate};
 use crate::row::{Row, RowId};
 use crate::snapshot::Snapshot;
-use crate::store::{MvReadStats, MvStore, ReadPath, StorageError, TableName, WriteKind};
+use crate::store::{MvStore, ReadPath, StorageError, TableName, WriteKind};
 use crate::timestamp::{Timestamp, TxnToken};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
 
 /// Which version of each row a scan reads: the visibility rules of the
 /// point reads, lifted into a parameter so the range scan needs a single
@@ -402,8 +401,8 @@ impl StorageBackend for MvStore {
 
 /// Which storage engine a database instance runs on.
 ///
-/// This is the configuration-level selector the engine, the workloads, the
-/// scaling bench, and the conformance exerciser thread through: everything
+/// This is the configuration-level selector the engine, the workloads and
+/// the conformance exerciser thread through: everything
 /// above the [`StorageBackend`] trait is backend-agnostic, and this enum is
 /// the single place a concrete constructor is named.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
@@ -423,9 +422,8 @@ pub enum BackendKind {
 /// Only the log-structured backend has a durable representation (a
 /// directory of fsync'd write-ahead segment files — see
 /// [`LogStore::open_durable`]); [`MvStore`] is an in-memory engine and
-/// ignores the knob.  The default stays [`Durability::Ephemeral`] so
-/// every existing workload, test, and bench keeps its semantics; the
-/// `durable_logstore` bench series records what the fsync tax costs.
+/// ignores the setting.  The default is [`Durability::Ephemeral`]; the
+/// benchmark's `durable_rmw_rc` workload records what the fsync tax costs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
 pub enum Durability {
     /// Everything lives in memory and dies with the process.
@@ -438,8 +436,7 @@ pub enum Durability {
 }
 
 impl Durability {
-    /// Short stable label (`"ephemeral"` / `"fsync"`), used by bench
-    /// series metadata.
+    /// Short stable label (`"ephemeral"` / `"fsync"`).
     pub fn label(self) -> &'static str {
         match self {
             Durability::Ephemeral => "ephemeral",
@@ -479,8 +476,7 @@ pub enum GroupCommit {
 }
 
 impl GroupCommit {
-    /// Short stable label (`"off"` / `"on"`), used by bench series
-    /// metadata.
+    /// Short stable label (`"off"` / `"on"`).
     pub fn label(self) -> &'static str {
         match self {
             GroupCommit::Off => "off",
@@ -511,61 +507,36 @@ impl BackendKind {
 
     /// Construct the backend.  `shards` is the substrate shard count —
     /// honoured by both [`MvStore`] (version-chain stripes) and
-    /// [`LogStore`] (hash-partitioned log shards).
-    pub fn build(self, shards: usize) -> Box<dyn StorageBackend> {
-        self.build_with_stats(shards, ReadPath::default()).0
-    }
-
-    /// Construct the backend with an explicit read path, handing back the
-    /// read-path counters when the backend has them.  [`MvStore`] honours
-    /// `read_path` and exposes its [`MvReadStats`]; the log-structured
-    /// store has no epoch read path, so it returns `None` and ignores the
-    /// knob.  The [`StorageBackend`] trait itself is untouched — stats
-    /// are a construction-time side channel, not a scheduler-visible
-    /// surface.
-    pub fn build_with_stats(
-        self,
-        shards: usize,
-        read_path: ReadPath,
-    ) -> (Box<dyn StorageBackend>, Option<Arc<MvReadStats>>) {
-        self.build_durable_with_stats(shards, read_path, Durability::default(), GroupCommit::Off)
-    }
-
-    /// Construct the backend with explicit durability and group-commit
-    /// modes on top of [`BackendKind::build_with_stats`]'s contract.
-    /// Only the log-structured store persists: [`Durability::Fsync`]
-    /// roots it in a process-private temp directory of write-ahead files
-    /// that is removed when the store drops
-    /// ([`LogStore::open_durable_temp`]), and `group_commit` batches its
-    /// commit fsyncs.  [`MvStore`] has no durable representation and
-    /// ignores both knobs — the conformance matrix's verdicts never
-    /// depend on them.
-    pub fn build_durable_with_stats(
+    /// [`LogStore`] (hash-partitioned log shards).  [`MvStore`] honours
+    /// `read_path`; it has no durable representation and ignores
+    /// `durability` and `group_commit`.  The log-structured store has no
+    /// epoch read path and ignores `read_path`; under
+    /// [`Durability::Fsync`] it is rooted in a process-private temp
+    /// directory of write-ahead files that is removed when the store
+    /// drops ([`LogStore::open_durable_temp`]), and `group_commit`
+    /// batches its commit fsyncs.  The conformance matrix's verdicts
+    /// depend on none of the four.
+    pub fn build(
         self,
         shards: usize,
         read_path: ReadPath,
         durability: Durability,
         group_commit: GroupCommit,
-    ) -> (Box<dyn StorageBackend>, Option<Arc<MvReadStats>>) {
+    ) -> Box<dyn StorageBackend> {
         match self {
-            BackendKind::MvStore => {
-                let store = MvStore::with_read_path(shards, read_path);
-                let stats = store.read_stats();
-                (Box::new(store), Some(stats))
-            }
+            BackendKind::MvStore => Box::new(MvStore::with_read_path(shards, read_path)),
             BackendKind::LogStructured => {
                 let config = LogStoreConfig {
                     shards,
                     group_commit,
                     ..LogStoreConfig::default()
                 };
-                let store = match durability {
+                Box::new(match durability {
                     Durability::Ephemeral => LogStore::with_config(config),
                     Durability::Fsync => LogStore::open_durable_temp(config).unwrap_or_else(|e| {
                         panic!("opening a durable log store in the temp directory failed: {e}")
                     }),
-                };
-                (Box::new(store), None)
+                })
             }
         }
     }
@@ -584,7 +555,12 @@ mod tests {
     #[test]
     fn backend_kinds_build_their_engines() {
         for kind in BackendKind::ALL {
-            let backend = kind.build(4);
+            let backend = kind.build(
+                4,
+                ReadPath::default(),
+                Durability::default(),
+                GroupCommit::default(),
+            );
             assert_eq!(backend.backend_name(), kind.label());
             assert_eq!(kind.to_string(), kind.label());
             let id = backend.insert("t", TxnToken(1), Row::new().with("v", 1));
@@ -596,23 +572,6 @@ mod tests {
             );
         }
         assert_eq!(BackendKind::default(), BackendKind::MvStore);
-    }
-
-    #[test]
-    fn stats_side_channel_is_mvstore_only() {
-        // The chain store hands out its read-path counters; the log store
-        // has no epoch read path, so the side channel stays empty and the
-        // StorageBackend trait itself stays untouched either way.
-        let (backend, stats) = BackendKind::MvStore.build_with_stats(4, ReadPath::Locked);
-        let stats = stats.expect("mvstore exposes read stats");
-        assert_eq!(stats.read_lock_acquisitions(), 0);
-        let id = backend.insert("t", TxnToken(1), Row::new().with("v", 1));
-        backend.commit(TxnToken(1), Timestamp(1));
-        let _ = backend.get_latest_committed("t", id);
-        assert!(stats.read_lock_acquisitions() > 0, "locked path counts");
-
-        let (_, stats) = BackendKind::LogStructured.build_with_stats(4, ReadPath::Epoch);
-        assert!(stats.is_none(), "log store has no read-path counters");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   transactions on different rows never serialise on a global lock;
 //! * [`logstore::LogStore`] — an append-only log of versioned records in
 //!   segments behind a per-table hash index, with watermark-triggered
-//!   compaction and optional payload spill to a temp file.
+//!   compaction.
 //!
 //! A differential property test (`tests/backend_equivalence.rs`) replays
 //! identical op sequences against both and requires identical answers

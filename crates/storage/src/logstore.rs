@@ -13,7 +13,7 @@
 //!
 //! * **sharding** — the log is hash-partitioned into
 //!   [`LogStoreConfig::shards`] shards, each with its own segments, hash
-//!   index, spill file, and write-ahead file chain.  A record's shard is
+//!   index, and write-ahead file chain.  A record's shard is
 //!   `fnv1a(table, row) % shards`, so every version of one row lives in
 //!   one shard and per-row version order is shard-local.  Control frames
 //!   (`Begin`/`Commit`/`Abort`/`CreateTable`/`CreateIndex`) always go to
@@ -31,9 +31,6 @@
 //!   [`LogStoreConfig::compact_watermark`], that shard's segments are
 //!   rewritten without them and the index repointed, synchronously on the
 //!   aborting caller's thread.  Committed versions are *never* dropped;
-//! * **spill** (optional) — with [`LogStoreConfig::spill`] on, sealing a
-//!   segment writes its row payloads to the shard's unlinked temp file
-//!   and keeps only (offset, length) in memory; reads decode on demand;
 //! * **durability** (optional) — [`LogStore::open_durable`] roots the log
 //!   in a directory of per-shard write-ahead chains
 //!   (`wal-<shard>-<generation>-<sequence>.seg`) under one `MANIFEST`
@@ -80,20 +77,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Tuning knobs of the log-structured backend.
+/// Settings of the log-structured backend.
 #[derive(Clone, Copy, Debug)]
 pub struct LogStoreConfig {
-    /// Records per segment; a full segment is sealed (and spilled, if
-    /// spilling is on) and a new one opened.  Clamped to at least 1.
+    /// Records per segment; a full segment is sealed and a new one
+    /// opened.  Clamped to at least 1.
     pub segment_records: usize,
     /// Dead (aborted) records tolerated in one shard before that shard is
     /// compacted.  Clamped to at least 1 — every abort checks the
     /// watermark, so compaction is always caller-driven, never a
     /// background task.
     pub compact_watermark: usize,
-    /// Spill sealed segments' row payloads to an unlinked temporary file
-    /// instead of keeping them on the heap.
-    pub spill: bool,
     /// Hash-partition count for the log + index (and the write-ahead
     /// chains of a durable store).  Clamped to at least 1.
     pub shards: usize,
@@ -107,7 +101,6 @@ impl Default for LogStoreConfig {
         LogStoreConfig {
             segment_records: 1024,
             compact_watermark: 4096,
-            spill: false,
             shards: 1,
             group_commit: GroupCommit::Off,
         }
@@ -116,14 +109,6 @@ impl Default for LogStoreConfig {
 
 /// Position of a record within its shard: (segment index, offset).
 type RecordPtr = (usize, usize);
-
-/// Where a record's row contents live.
-enum Payload {
-    /// On the heap; `None` is a tombstone (tombstones never spill).
-    Inline(Option<Row>),
-    /// Encoded in the shard's spill file at `offset..offset + len`.
-    Spilled { offset: u64, len: u32 },
-}
 
 /// One versioned record in the log.
 struct LogRecord {
@@ -140,9 +125,10 @@ struct LogRecord {
     aborted: bool,
     /// The record's integer value in the table's indexed column, stamped
     /// at append time (or backfilled by `create_index`) so abort can
-    /// unhook the ordered index without decoding spilled payloads.
+    /// unhook the ordered index without looking at the payload.
     index_key: Option<i64>,
-    payload: Payload,
+    /// The row contents; `None` is a tombstone.
+    payload: Option<Row>,
 }
 
 /// A run of records; full segments are sealed and never appended to again.
@@ -176,66 +162,6 @@ struct ShardTable {
     ordered: BTreeMap<(i64, RowId), usize>,
 }
 
-/// The spill file: append-only, unlinked at creation so the OS reclaims it
-/// when the store is dropped (or the process dies).
-struct SpillFile {
-    file: File,
-    len: u64,
-    /// Serialises seek-then-IO pairs on platforms without positioned IO:
-    /// concurrent readers under the shard's read lock share one cursor.
-    #[cfg(not(unix))]
-    cursor: std::sync::Mutex<()>,
-}
-
-impl SpillFile {
-    fn new(file: File) -> Self {
-        SpillFile {
-            file,
-            len: 0,
-            #[cfg(not(unix))]
-            cursor: std::sync::Mutex::new(()),
-        }
-    }
-
-    /// Write `bytes` at `offset` (positioned IO on unix, seek+write under
-    /// the cursor mutex elsewhere).
-    #[cfg(unix)]
-    fn write_at(&self, bytes: &[u8], offset: u64) -> io::Result<()> {
-        use std::os::unix::fs::FileExt;
-        self.file.write_all_at(bytes, offset)
-    }
-
-    #[cfg(not(unix))]
-    fn write_at(&self, bytes: &[u8], offset: u64) -> io::Result<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        let _cursor = self.cursor.lock().expect("spill cursor mutex poisoned");
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(bytes)
-    }
-
-    /// Read `len` bytes at `offset` (positioned IO on unix, seek+read
-    /// under the cursor mutex elsewhere).
-    #[cfg(unix)]
-    fn read_at(&self, offset: u64, len: u32) -> io::Result<Vec<u8>> {
-        use std::os::unix::fs::FileExt;
-        let mut buf = vec![0u8; len as usize];
-        self.file.read_exact_at(&mut buf, offset)?;
-        Ok(buf)
-    }
-
-    #[cfg(not(unix))]
-    fn read_at(&self, offset: u64, len: u32) -> io::Result<Vec<u8>> {
-        use std::io::{Read, Seek, SeekFrom};
-        let _cursor = self.cursor.lock().expect("spill cursor mutex poisoned");
-        let mut buf = vec![0u8; len as usize];
-        let mut file = &self.file;
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-}
-
 /// One shard's write-ahead chain: the open segment file of
 /// `wal-<shard>-<gen>-<seq>.seg`, with absolute written/synced byte
 /// counters so crash-simulation harnesses can ask exactly how much of the
@@ -256,8 +182,8 @@ struct ShardWal {
     synced: u64,
 }
 
-/// One hash partition of the log: segments, index slices, spill file, and
-/// (for durable stores) the shard's write-ahead chain.
+/// One hash partition of the log: segments, index slices, and (for
+/// durable stores) the shard's write-ahead chain.
 #[derive(Default)]
 struct LogShard {
     tables: HashMap<Arc<str>, ShardTable>,
@@ -266,13 +192,6 @@ struct LogShard {
     dead: usize,
     /// Live (non-aborted) records in this shard.
     live: usize,
-    spill: Option<SpillFile>,
-    /// Spill-file failures observed (counted immediately before each one
-    /// is surfaced as a panic, so the invariant breach stays countable
-    /// from a `catch_unwind` test).
-    spill_failures: u64,
-    /// Test hook: make the next spill write fail.
-    fail_next_spill_write: bool,
     /// This shard's write-ahead chain, when the store is durable.  `None`
     /// both for plain in-memory stores and *during recovery replay*,
     /// which is how replay reuses the ordinary mutation paths without
@@ -367,7 +286,6 @@ impl LogStore {
         let config = LogStoreConfig {
             segment_records: config.segment_records.max(1),
             compact_watermark: config.compact_watermark.max(1),
-            spill: config.spill,
             shards: config.shards.max(1),
             group_commit: config.group_commit,
         };
@@ -400,30 +318,6 @@ impl LogStore {
     /// Dead (aborted, not yet compacted) records currently in the log.
     pub fn dead_record_count(&self) -> usize {
         self.shards.iter().map(|s| s.read().dead).sum()
-    }
-
-    /// Bytes written to the spill files so far (0 when spilling is off).
-    pub fn spilled_bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read().spill.as_ref().map_or(0, |f| f.len))
-            .sum()
-    }
-
-    /// Spill-file failures observed.  Each failure also panics (the
-    /// payload would be silently unreadable otherwise), so this counter
-    /// is read from `catch_unwind` in tests and post-mortem tooling.
-    pub fn spill_failure_count(&self) -> u64 {
-        self.shards.iter().map(|s| s.read().spill_failures).sum()
-    }
-
-    /// Test hook: inject an IO error into the next spill write of every
-    /// shard.
-    #[doc(hidden)]
-    pub fn fail_next_spill_write(&self) {
-        for shard in &self.shards {
-            shard.write().fail_next_spill_write = true;
-        }
     }
 
     /// Largest commit timestamp ever stamped on a writing transaction
@@ -587,7 +481,7 @@ impl LogStore {
             commit_ts: None,
             aborted: false,
             index_key,
-            payload: Payload::Inline(payload),
+            payload,
         });
         shard.live += 1;
         let stable = shard.tables.entry(Arc::clone(&table)).or_default();
@@ -603,9 +497,8 @@ impl LogStore {
             .push((table, row, kind));
     }
 
-    /// Seal a shard's open segment (if any) and, with spilling on, move
-    /// its row payloads out to the shard's spill file.  A durable store
-    /// also seals on disk: the shard's write-ahead file is synced and a
+    /// Seal a shard's open segment (if any).  A durable store also seals
+    /// on disk: the shard's write-ahead file is synced and a
     /// fresh one opened, so a sealed segment's frames are never appended
     /// to again.
     fn seal_shard_segment(&self, shard: &mut LogShard) {
@@ -616,32 +509,7 @@ impl LogStore {
             return;
         }
         shard.segments[last].sealed = true;
-        self.spill_segment(shard, last);
         shard_rotate(shard, &self.fsyncs);
-    }
-
-    /// Move a sealed segment's inline row payloads out to the shard's
-    /// spill file (no-op unless spilling is enabled).
-    fn spill_segment(&self, shard: &mut LogShard, seg: usize) {
-        if !self.config.spill {
-            return;
-        }
-        // Encode first, then borrow the spill file mutably: a record's
-        // payload moves to `Spilled` only once its bytes are durably in
-        // the file buffer.
-        for offset in 0..shard.segments[seg].records.len() {
-            let encoded = match &shard.segments[seg].records[offset].payload {
-                Payload::Inline(Some(row)) => encode_row(row),
-                // Tombstones and already-spilled payloads stay put.
-                Payload::Inline(None) | Payload::Spilled { .. } => continue,
-            };
-            let at = spill_write(shard, &encoded);
-            shard.segments[seg].records[offset].payload = Payload::Spilled {
-                offset: at,
-                len: u32::try_from(encoded.len())
-                    .expect("spilled payload length fits the u32 record field"),
-            };
-        }
     }
 
     /// Intern `table` in the registry, emitting its `CreateTable` frame
@@ -764,16 +632,6 @@ impl LogStore {
                 }
             }
         }
-        // Segments sealed by the repack above never pass through
-        // `seal_shard_segment`, so spill their surviving inline payloads
-        // here — otherwise records carried over from the formerly-open
-        // segment would stay on the heap forever and spill mode would
-        // silently stop bounding memory after the first compaction.
-        for seg in 0..shard.segments.len() {
-            if shard.segments[seg].sealed {
-                self.spill_segment(shard, seg);
-            }
-        }
         // A durable shard compacts on disk too: the dead frames the
         // repack just dropped from memory are still in this shard's
         // write-ahead chain, so rewrite it as a fresh generation.
@@ -887,14 +745,7 @@ impl LogStore {
             let mut buf = std::mem::take(&mut head);
             if let Some(segment) = shard.segments.get(seg) {
                 for rec in &segment.records {
-                    let payload: Option<Vec<u8>> = match &rec.payload {
-                        Payload::Inline(Some(row)) => Some(encode_row(row)),
-                        Payload::Inline(None) => None,
-                        Payload::Spilled { offset, len } => Some(
-                            spill_read(shard, *offset, *len)
-                                .expect("spilled payload must be readable back for the rewrite"),
-                        ),
-                    };
+                    let payload: Option<Vec<u8>> = rec.payload.as_ref().map(encode_row);
                     let inline_ts = rec.commit_ts.filter(|_| !unflushed.contains(&rec.writer));
                     buf.extend_from_slice(&encode_write_frame(
                         &rec.table,
@@ -1417,25 +1268,13 @@ fn record<'a>(shard: &'a LogShard, ptr: &RecordPtr) -> &'a LogRecord {
     &shard.segments[ptr.0].records[ptr.1]
 }
 
-fn payload_row(shard: &LogShard, rec: &LogRecord) -> Option<Row> {
-    match &rec.payload {
-        Payload::Inline(row) => row.clone(),
-        Payload::Spilled { offset, len } => {
-            let bytes = spill_read(shard, *offset, *len)
-                .expect("spilled payload must be readable back from the spill file");
-            Some(decode_row(&bytes).expect("spilled payload bytes must decode as a row"))
-        }
-    }
-}
-
 fn is_tombstone(rec: &LogRecord) -> bool {
-    matches!(rec.payload, Payload::Inline(None))
+    rec.payload.is_none()
 }
 
 /// The most recent record regardless of commit state (dirty read).
 fn latest_any(shard: &LogShard, ptrs: &[RecordPtr]) -> Option<Row> {
-    ptrs.last()
-        .and_then(|p| payload_row(shard, record(shard, p)))
+    ptrs.last().and_then(|p| record(shard, p).payload.clone())
 }
 
 /// The most recent committed record.
@@ -1444,7 +1283,7 @@ fn latest_committed(shard: &LogShard, ptrs: &[RecordPtr]) -> Option<Row> {
         .rev()
         .map(|p| record(shard, p))
         .find(|r| r.commit_ts.is_some())
-        .and_then(|r| payload_row(shard, r))
+        .and_then(|r| r.payload.clone())
 }
 
 /// The most recent record committed at or before `ts`.
@@ -1471,7 +1310,7 @@ fn visible_for(
         .map(|p| record(shard, p))
         .find(|r| r.writer == reader && r.commit_ts.is_none())
         .or_else(|| committed_as_of(shard, ptrs, start_ts))
-        .and_then(|r| payload_row(shard, r))
+        .and_then(|r| r.payload.clone())
 }
 
 impl StorageBackend for LogStore {
@@ -1583,7 +1422,7 @@ impl StorageBackend for LogStore {
 
     fn get_committed_as_of(&self, table: &str, id: RowId, ts: Timestamp) -> Option<Row> {
         self.read_row(table, id, |shard, ptrs| {
-            committed_as_of(shard, ptrs, ts).and_then(|r| payload_row(shard, r))
+            committed_as_of(shard, ptrs, ts).and_then(|r| r.payload.clone())
         })
     }
 
@@ -1609,7 +1448,7 @@ impl StorageBackend for LogStore {
 
     fn scan_committed_as_of(&self, predicate: &RowPredicate, ts: Timestamp) -> Vec<(RowId, Row)> {
         self.scan(predicate, |shard, ptrs| {
-            committed_as_of(shard, ptrs, ts).and_then(|r| payload_row(shard, r))
+            committed_as_of(shard, ptrs, ts).and_then(|r| r.payload.clone())
         })
     }
 
@@ -1654,7 +1493,7 @@ impl StorageBackend for LogStore {
             let mut stamped: Vec<(RecordPtr, Option<i64>)> = Vec::with_capacity(ptrs.len());
             for ptr in ptrs {
                 let rec = record(shard, &ptr);
-                let key = payload_row(shard, rec).and_then(|r| r.get_int(column));
+                let key = rec.payload.as_ref().and_then(|r| r.get_int(column));
                 if let Some(key) = key {
                     *ordered.entry((key, rec.row)).or_insert(0) += 1;
                 }
@@ -1706,7 +1545,7 @@ impl StorageBackend for LogStore {
                     ScanView::LatestAny => latest_any(&shard, ptrs),
                     ScanView::LatestCommitted => latest_committed(&shard, ptrs),
                     ScanView::CommittedAsOf(ts) => {
-                        committed_as_of(&shard, ptrs, ts).and_then(|r| payload_row(&shard, r))
+                        committed_as_of(&shard, ptrs, ts).and_then(|r| r.payload.clone())
                     }
                     ScanView::Visible { reader, start_ts } => {
                         visible_for(&shard, ptrs, reader, start_ts)
@@ -1998,7 +1837,6 @@ impl fmt::Debug for LogStore {
             .field("live", &self.version_count())
             .field("dead", &self.dead_record_count())
             .field("tables", &self.registry.read().keys().collect::<Vec<_>>())
-            .field("spill", &self.config.spill)
             .finish()
     }
 }
@@ -2023,84 +1861,6 @@ impl Drop for LogStore {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Spill file plumbing (per shard).
-// ---------------------------------------------------------------------
-
-/// Append `bytes` to the shard's spill file (creating it on first use),
-/// returning the offset they start at.  A failed spill is an invariant
-/// breach — the caller is about to drop the payload's inline copy, so
-/// swallowing the error would make the record silently unreadable.  It is
-/// counted ([`LogStore::spill_failure_count`]) and surfaced as a panic,
-/// matching the store.rs convention for broken internal invariants.
-fn spill_write(shard: &mut LogShard, bytes: &[u8]) -> u64 {
-    if shard.spill.is_none() {
-        match create_spill_file() {
-            Ok(file) => shard.spill = Some(SpillFile::new(file)),
-            Err(e) => {
-                shard.spill_failures += 1;
-                panic!("spill file creation failed: {e} — a sealed segment's payloads cannot leave the heap");
-            }
-        }
-    }
-    let injected = std::mem::take(&mut shard.fail_next_spill_write);
-    let (result, at) = {
-        let spill = shard.spill.as_mut().expect("spill file just ensured");
-        let at = spill.len;
-        // Positioned write at the recorded length: a failed or partial
-        // write never desynchronises `len` from where later payloads
-        // actually land — the recorded offset stays authoritative.
-        let result = if injected {
-            Err(io::Error::other("injected spill write failure"))
-        } else {
-            spill.write_at(bytes, at)
-        };
-        if result.is_ok() {
-            spill.len += bytes.len() as u64;
-        }
-        (result, at)
-    };
-    if let Err(e) = result {
-        shard.spill_failures += 1;
-        panic!(
-            "spill write of {} bytes at offset {at} failed: {e} — the sealed payload would be unreadable",
-            bytes.len(),
-        );
-    }
-    at
-}
-
-/// Create the unlinked temp file: open, then immediately remove the path,
-/// so the data is reclaimed by the OS no matter how the process exits.
-fn create_spill_file() -> io::Result<File> {
-    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir();
-    let unique = format!(
-        "critique-logstore-{}-{}.spill",
-        std::process::id(),
-        SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-    );
-    let path = dir.join(unique);
-    let file = File::options()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(&path)?;
-    // Unlink immediately; the open handle keeps the inode alive.
-    let _ = fs::remove_file(&path);
-    Ok(file)
-}
-
-/// Read a spilled payload back.  `None` only when no spill file exists
-/// (never written to); an IO failure on a recorded payload is — like a
-/// failed write — an invariant breach and panics.
-fn spill_read(shard: &LogShard, offset: u64, len: u32) -> Option<Vec<u8>> {
-    let spill = shard.spill.as_ref()?;
-    Some(spill.read_at(offset, len).unwrap_or_else(|e| {
-        panic!("spill read of {len} bytes at offset {offset} failed: {e} — a recorded payload vanished")
-    }))
 }
 
 // ---------------------------------------------------------------------
@@ -2421,11 +2181,10 @@ fn write_manifest(dir: &Path, gens: &[u64], config: LogStoreConfig) -> io::Resul
         GroupCommit::On { window_micros } => format!("on:{window_micros}"),
     };
     let body = format!(
-        "gens={gens_list}\nshards={}\nsegment_records={}\ncompact_watermark={}\nspill={}\ngroup_commit={group}\n",
+        "gens={gens_list}\nshards={}\nsegment_records={}\ncompact_watermark={}\ngroup_commit={group}\n",
         config.shards,
         config.segment_records,
         config.compact_watermark,
-        u8::from(config.spill),
     );
     let tmp = dir.join("MANIFEST.tmp");
     let mut file = File::create(&tmp)?;
@@ -2466,7 +2225,6 @@ fn read_manifest(dir: &Path) -> io::Result<(Vec<u64>, LogStoreConfig)> {
                 config.compact_watermark =
                     value.parse().map_err(|_| bad("bad compact_watermark"))?;
             }
-            "spill" => config.spill = value == "1",
             "group_commit" => {
                 config.group_commit = if value == "off" {
                     GroupCommit::Off
@@ -2487,7 +2245,7 @@ fn read_manifest(dir: &Path) -> io::Result<(Vec<u64>, LogStoreConfig)> {
 }
 
 // ---------------------------------------------------------------------
-// Row codec (the offline serde shim does not serialise, so the spill
+// Row codec (the offline serde shim does not serialise, so the frame
 // format is hand-rolled: length-prefixed column names and tagged values).
 // ---------------------------------------------------------------------
 
@@ -2564,20 +2322,18 @@ mod tests {
         Row::new().with("balance", v)
     }
 
-    fn tiny(spill: bool) -> LogStore {
+    fn tiny() -> LogStore {
         LogStore::with_config(LogStoreConfig {
             segment_records: 4,
             compact_watermark: 3,
-            spill,
             ..LogStoreConfig::default()
         })
     }
 
-    fn tiny_sharded(spill: bool) -> LogStore {
+    fn tiny_sharded() -> LogStore {
         LogStore::with_config(LogStoreConfig {
             segment_records: 4,
             compact_watermark: 3,
-            spill,
             shards: 4,
             ..LogStoreConfig::default()
         })
@@ -2663,7 +2419,7 @@ mod tests {
 
     #[test]
     fn compaction_reclaims_aborted_records_and_preserves_reads() {
-        let store = tiny(false);
+        let store = tiny();
         let id = store.insert("t", TxnToken(1), balance_row(1));
         store.commit(TxnToken(1), Timestamp(1));
         // Burn through aborted versions until the watermark trips.
@@ -2700,7 +2456,7 @@ mod tests {
 
     #[test]
     fn commit_spanning_segments_and_pending_remap() {
-        let store = tiny(false);
+        let store = tiny();
         // One transaction writes enough to span several 4-record segments,
         // while another aborts in between to force a compaction that must
         // remap the first transaction's pending pointers.
@@ -2728,7 +2484,7 @@ mod tests {
 
     #[test]
     fn snapshot_and_predicate_scans() {
-        let store = tiny(false);
+        let store = tiny();
         let active = RowPredicate::new("employees", Condition::eq("active", true));
         let e1 = store.insert("employees", TxnToken(1), Row::new().with("active", true));
         store.insert("employees", TxnToken(1), Row::new().with("active", false));
@@ -2779,7 +2535,7 @@ mod tests {
 
     #[test]
     fn sharded_store_routes_rows_and_pins_scan_order() {
-        let store = tiny_sharded(false);
+        let store = tiny_sharded();
         let ids: Vec<RowId> = (0..12)
             .map(|i| store.insert("t", TxnToken(1), balance_row(i)))
             .collect();
@@ -2830,7 +2586,7 @@ mod tests {
 
     #[test]
     fn sharded_compaction_is_local_to_the_dirty_shard() {
-        let store = tiny_sharded(false);
+        let store = tiny_sharded();
         let ids: Vec<RowId> = (0..8)
             .map(|i| store.insert("t", TxnToken(1), balance_row(i)))
             .collect();
@@ -2865,98 +2621,9 @@ mod tests {
         }
     }
 
-    // Spilling is a no-op off unix (no positioned IO), so these two
-    // tests only make sense there.
-    #[cfg(unix)]
-    #[test]
-    fn spill_round_trips_sealed_segments() {
-        let store = tiny(true);
-        let mut ids = Vec::new();
-        for i in 0..10 {
-            ids.push(
-                store.insert(
-                    "t",
-                    TxnToken(1),
-                    Row::new()
-                        .with("balance", i)
-                        .with("owner", format!("user-{i}").as_str())
-                        .with("active", i % 2 == 0)
-                        .with("note", ColumnValue::Null),
-                ),
-            );
-        }
-        store.commit(TxnToken(1), Timestamp(1));
-        // 10 records at 4 per segment: at least two sealed, bytes spilled.
-        assert!(store.spilled_bytes() > 0, "sealed segments should spill");
-        for (i, id) in ids.iter().enumerate() {
-            let row = store.get_latest_committed("t", *id).unwrap();
-            assert_eq!(row.get_int("balance"), Some(i as i64));
-            assert_eq!(row.get_text("owner"), Some(format!("user-{i}").as_str()));
-            assert_eq!(row.get_bool("active"), Some(i % 2 == 0));
-            assert!(row.get("note").unwrap().is_null());
-        }
-        // Tombstones never spill and still read as deletions.
-        store.delete("t", TxnToken(2), ids[0]).unwrap();
-        store.commit(TxnToken(2), Timestamp(2));
-        assert!(store.get_latest_committed("t", ids[0]).is_none());
-        assert_eq!(store.committed_row_count("t"), 9);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn compaction_spills_carried_over_payloads() {
-        let store = LogStore::with_config(LogStoreConfig {
-            segment_records: 4,
-            compact_watermark: 2,
-            spill: true,
-            ..LogStoreConfig::default()
-        });
-        // Three live rows plus one abort fill segment 0; two more live
-        // rows land in segment 1 (inline, segment still open).
-        let mut ids: Vec<RowId> = (0..3)
-            .map(|i| store.insert("t", TxnToken(1), balance_row(i)))
-            .collect();
-        store
-            .update("t", TxnToken(10), ids[0], balance_row(-1))
-            .unwrap();
-        store.abort(TxnToken(10));
-        ids.push(store.insert("t", TxnToken(1), balance_row(3)));
-        ids.push(store.insert("t", TxnToken(1), balance_row(4)));
-        store.commit(TxnToken(1), Timestamp(1));
-        let before = store.spilled_bytes();
-        assert!(before > 0, "sealing segment 0 should have spilled");
-
-        // A second abort trips the watermark; the repack packs the five
-        // live records as [4 sealed, 1 open], and the inline record
-        // carried into the sealed segment must spill there too.
-        store
-            .update("t", TxnToken(11), ids[1], balance_row(-2))
-            .unwrap();
-        store.abort(TxnToken(11));
-        assert_eq!(
-            store.dead_record_count(),
-            0,
-            "watermark should have compacted"
-        );
-        assert!(
-            store.spilled_bytes() > before,
-            "compaction-sealed segments must spill their inline payloads"
-        );
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(
-                store
-                    .get_latest_committed("t", *id)
-                    .unwrap()
-                    .get_int("balance"),
-                Some(i as i64),
-                "row {i} after compaction + spill"
-            );
-        }
-    }
-
     #[test]
     fn ordered_index_backfills_and_tracks_writes() {
-        let store = tiny(false);
+        let store = tiny();
         // Rows exist before the index: create_index must backfill.
         let a = store.insert("t", TxnToken(1), balance_row(30));
         let b = store.insert("t", TxnToken(1), balance_row(10));
@@ -3018,11 +2685,10 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_survives_compaction_and_spill() {
+    fn scan_range_survives_compaction() {
         let store = LogStore::with_config(LogStoreConfig {
             segment_records: 4,
             compact_watermark: 2,
-            spill: true,
             ..LogStoreConfig::default()
         });
         store.create_index("t", "balance");
@@ -3092,7 +2758,6 @@ mod tests {
         let config = LogStoreConfig {
             segment_records: 9,
             compact_watermark: 17,
-            spill: true,
             shards: 3,
             group_commit: GroupCommit::On { window_micros: 250 },
         };
@@ -3101,7 +2766,6 @@ mod tests {
         assert_eq!(gens, vec![4, 0, 7]);
         assert_eq!(read.segment_records, 9);
         assert_eq!(read.compact_watermark, 17);
-        assert!(read.spill);
         assert_eq!(read.shards, 3);
         assert_eq!(read.group_commit, GroupCommit::On { window_micros: 250 });
         let _ = fs::remove_dir_all(&dir);
@@ -3117,7 +2781,7 @@ mod tests {
 
     #[test]
     fn row_ids_are_sequential_per_table_and_sorted() {
-        let store = tiny(false);
+        let store = tiny();
         let a0 = store.insert("a", TxnToken(1), balance_row(0));
         let b0 = store.insert("b", TxnToken(1), balance_row(0));
         let a1 = store.insert("a", TxnToken(1), balance_row(0));
@@ -3127,31 +2791,33 @@ mod tests {
         assert!(store.row_ids("missing").is_empty());
     }
 
+    /// The census of log-store settings.  The destructure names every
+    /// field with no `..`, so adding one cannot compile without coming
+    /// here and saying why it exists: `segment_records` and
+    /// `compact_watermark` size the log (the differential tests shrink
+    /// them to force rollover and compaction), `shards` partitions it,
+    /// `group_commit` schedules a durable store's fsyncs.
+    #[test]
+    fn config_defaults() {
+        let LogStoreConfig {
+            segment_records,
+            compact_watermark,
+            shards,
+            group_commit,
+        } = LogStoreConfig::default();
+        assert_eq!(segment_records, 1024);
+        assert_eq!(compact_watermark, 4096);
+        assert_eq!(shards, 1);
+        assert_eq!(group_commit, GroupCommit::Off);
+    }
+
     #[test]
     fn debug_and_config_accessors() {
-        let store = tiny(true);
+        let store = tiny();
         assert_eq!(store.config().segment_records, 4);
         assert_eq!(store.backend_name(), "logstore");
         let text = format!("{store:?}");
         assert!(text.contains("LogStore"));
-    }
-
-    #[test]
-    fn spill_write_failure_is_counted_and_panics() {
-        let store = tiny(true);
-        store.fail_next_spill_write();
-        // The 5th insert seals segment 0, whose spill hits the injected
-        // IO error: the failure must surface, never be swallowed.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for i in 0..5 {
-                store.insert("t", TxnToken(1), balance_row(i));
-            }
-        }));
-        assert!(
-            result.is_err(),
-            "an injected spill write failure must surface as a panic"
-        );
-        assert_eq!(store.spill_failure_count(), 1);
     }
 
     fn durable_dir(tag: &str) -> PathBuf {
@@ -3183,7 +2849,6 @@ mod tests {
         let cfg = LogStoreConfig {
             segment_records: 4,
             compact_watermark: 64,
-            spill: false,
             ..LogStoreConfig::default()
         };
         let (a, b);
@@ -3342,7 +3007,6 @@ mod tests {
         let cfg = LogStoreConfig {
             segment_records: 4,
             compact_watermark: 3,
-            spill: true,
             ..LogStoreConfig::default()
         };
         let (id, ghost);

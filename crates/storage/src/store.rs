@@ -35,9 +35,8 @@
 //! Two always-compiled counters ([`MvReadStats`]) make the core claims
 //! assertable: `read_lock_acquisitions` stays zero on the epoch path
 //! ("reads take no lock"), and the EBR domain's `reclaimed_while_pinned`
-//! stays zero ("no use-after-free").  [`ReadPath::Locked`] keeps the old
-//! discipline — stripe read-locks on every read — as the measurable A/B
-//! baseline for the `read_heavy` bench series.
+//! stays zero ("no use-after-free").  [`ReadPath::Locked`] takes stripe
+//! read-locks on every read instead.
 //!
 //! Bookkeeping surfaces (`version_count`, `committed_row_count`,
 //! `row_ids`, `tables`) are lock-free in **both** modes: they are

@@ -4,9 +4,8 @@
 //! A property test replays identical random operation sequences against
 //! the sharded chain store ([`MvStore`]) and the append-only log store
 //! ([`LogStore`]) — the latter squeezed into tiny segments with an
-//! aggressive compaction watermark (and, in half the cases, payload spill
-//! to a temp file) so segment rollover, pointer remapping, and the spill
-//! codec are all on the hot path — and then requires bit-identical answers
+//! aggressive compaction watermark so segment rollover and pointer
+//! remapping are on the hot path — and then requires bit-identical answers
 //! from every read surface: visible state at every timestamp and for every
 //! reader, predicate scans, write sets, First-Committer-Wins verdicts,
 //! foreign-uncommitted checks, and the bookkeeping counters.
@@ -325,22 +324,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Identical op sequences leave the chain store and the log store in
-    /// identical visible states — with the log store's segment size,
-    /// compaction watermark, and spill flag randomised so rollover,
-    /// remapping, and the codec are all exercised.
+    /// identical visible states — with the log store's segment size and
+    /// compaction watermark randomised so rollover and remapping are
+    /// exercised.
     #[test]
     fn logstore_matches_mvstore_semantics(
         steps in proptest::collection::vec((0u32..6, 0u32..2, 0u32..4, 0u32..8), 1..60),
         segment_records in 1usize..9,
         compact_watermark in 1usize..5,
-        spill in proptest::bool::ANY,
         shards in 1u32..17,
     ) {
         let reference = MvStore::with_shards(shards as usize);
         let log = LogStore::with_config(LogStoreConfig {
             segment_records,
             compact_watermark,
-            spill,
             shards: shards as usize,
             ..LogStoreConfig::default()
         });

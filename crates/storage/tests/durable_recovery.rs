@@ -137,7 +137,6 @@ fn torn_frame_in_a_sealed_file_is_corruption() {
             LogStoreConfig {
                 segment_records: 2,
                 compact_watermark: 1024,
-                spill: false,
                 ..LogStoreConfig::default()
             },
         )

@@ -13,14 +13,10 @@
 //! * [`bank`] — the H1/H2 bank-transfer fixtures (inconsistent analysis)
 //!   and helpers shared by examples and benchmarks.
 //! * [`mixed`] — a randomised multi-threaded workload (configurable
-//!   read/write mix, contention, transaction length, and client think
-//!   time) with throughput and abort statistics, used by the
-//!   Snapshot-Isolation-vs-locking benchmarks that back the qualitative
-//!   claims of Section 4.2.
-//! * [`scaling`] — a thread-count scaling sweep over the mixed workload
-//!   comparing the sharded substrate against the single-shard (global
-//!   lock) baseline, rendered as text and as the hand-rolled JSON behind
-//!   `BENCH_scaling.json`.
+//!   read/write mix, contention, transaction length, range-scan share,
+//!   backend and durability) with throughput and abort statistics, used
+//!   by the Snapshot-Isolation-vs-locking benchmarks that back the
+//!   qualitative claims of Section 4.2.
 //! * [`recovery`] — the crash-point differential harness over the durable
 //!   log store: kill a seeded workload mid-transaction, recover the
 //!   write-ahead directory, replay the remainder, and require the suffix
@@ -33,16 +29,11 @@
 pub mod bank;
 pub mod mixed;
 pub mod recovery;
-pub mod scaling;
 pub mod scenarios;
 
 pub use crate::bank::BankFixture;
 pub use crate::mixed::{MixedWorkload, WorkloadStats};
 pub use crate::recovery::{DifferentialOutcome, PlannedOp, RecoveryWorkload};
-pub use crate::scaling::{
-    HandoffComparison, HandoffPoint, RangeComparison, RangePoint, ScalingPoint, ScalingReport,
-    ScalingSeries, ScalingSuite, SubstrateConfig, WatchFanoutComparison, WatchFanoutPoint,
-};
 pub use crate::scenarios::{AnomalyScenario, ScenarioOutcome, ScenarioResult};
 
 /// Convenient glob-import of the most commonly used types.
@@ -50,9 +41,5 @@ pub mod prelude {
     pub use crate::bank::BankFixture;
     pub use crate::mixed::{MixedWorkload, WorkloadStats};
     pub use crate::recovery::{DifferentialOutcome, PlannedOp, RecoveryWorkload};
-    pub use crate::scaling::{
-        HandoffComparison, HandoffPoint, RangeComparison, RangePoint, ScalingPoint, ScalingReport,
-        ScalingSeries, ScalingSuite, SubstrateConfig, WatchFanoutComparison, WatchFanoutPoint,
-    };
     pub use crate::scenarios::{AnomalyScenario, ScenarioOutcome, ScenarioResult};
 }

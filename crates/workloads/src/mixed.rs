@@ -12,8 +12,7 @@
 
 use critique_core::IsolationLevel;
 use critique_engine::{
-    BackendKind, Database, Durability, EngineConfig, FairnessPolicy, GrantPolicy, GroupCommit,
-    ReadPath, TxnError, UpgradeStrategy,
+    BackendKind, Database, Durability, EngineConfig, GroupCommit, ReadPath, TxnError,
 };
 use critique_storage::{KeyInterval, Row, RowId, RowPredicate};
 use rand::rngs::StdRng;
@@ -39,31 +38,10 @@ pub struct MixedWorkload {
     /// Random seed (the workload is deterministic given the seed and the
     /// thread interleaving).
     pub seed: u64,
-    /// Client "think time" in microseconds before each row operation
-    /// (0 = none).  Think time models the gaps real clients leave between
-    /// statements; with it, throughput is bounded by how many transactions
-    /// the substrate lets *overlap*, which is what the thread-count scaling
-    /// sweep measures.
-    pub think_micros: u64,
-    /// Substrate shard count handed to [`EngineConfig::with_shards`].
-    /// `1` reproduces the old global-lock layout as a baseline.
-    pub shards: usize,
-    /// Contended-grant policy handed to
-    /// [`EngineConfig::with_grant_policy`]: FIFO direct handoff, or the
-    /// wake-all baseline the handoff benchmark compares against.
-    pub grant: GrantPolicy,
     /// Storage backend handed to [`EngineConfig::with_backend`]: the
     /// sharded version-chain store by default, or the log-structured
-    /// engine the scaling sweep compares against.
+    /// engine.
     pub backend: BackendKind,
-    /// Read-modify-write locking strategy handed to
-    /// [`EngineConfig::with_upgrade_strategy`]: Shared-then-upgrade (the
-    /// historical baseline, vulnerable to the batch-grant upgrade
-    /// cascade), or update-mode (U) locks taken at the RMW read.  Update
-    /// transactions route their reads through
-    /// [`critique_engine::Transaction::read_for_update`] either way, so
-    /// the strategy is the only variable.
-    pub upgrade: UpgradeStrategy,
     /// Fraction of row operations issued as *range scans* over the
     /// ordered `bucket` index instead of point accesses.  Range reads go
     /// through [`critique_engine::Transaction::read_range`] (or the
@@ -73,31 +51,24 @@ pub struct MixedWorkload {
     pub range_fraction: f64,
     /// Storage read discipline handed to
     /// [`EngineConfig::with_read_path`]: the epoch-pinned lock-free path
-    /// (default), or the stripe-read-lock baseline the read-heavy bench
-    /// series measures against.  Only the default backend honours it.
+    /// (default), or the stripe-read-lock path.  Only the default backend
+    /// honours it.
     pub read_path: ReadPath,
     /// Storage durability handed to [`EngineConfig::with_durability`]:
     /// ephemeral (default), or fsync'd write-ahead persistence on the
-    /// log-structured backend — the `durable_logstore` bench series
-    /// records the fsync tax through this knob.
+    /// log-structured backend.
     pub durability: Durability,
     /// Commit fsync scheduling handed to
     /// [`EngineConfig::with_group_commit`]: one fsync per writing commit
-    /// (default), or batched behind a group-commit leader — the
-    /// `group_commit` bench series records the amortisation through this
-    /// knob.  Only a durable log-structured backend honours it.
+    /// (default), or batched behind a group-commit leader.  Only a
+    /// durable log-structured backend honours it.
     pub group_commit: GroupCommit,
-    /// Lock fast-path fairness handed to
-    /// [`EngineConfig::with_fairness`]: barging (default), or the
-    /// strict-FIFO fast path the handoff grid compares against.
-    pub fairness: FairnessPolicy,
     /// Number of commit-time table watchers registered on `accounts`
     /// before the run (`0` = none).  With watchers attached, every
     /// committed writing transaction fans one [`critique_engine::ChangeEvent`]
-    /// out to all of them on the commit path — the `watch_fanout` bench
-    /// series sweeps this knob — and the run asserts the delivery
-    /// contract afterwards: every watcher saw the same number of events,
-    /// in strictly increasing commit-timestamp order.
+    /// out to all of them on the commit path, and the run asserts the
+    /// delivery contract afterwards: every watcher saw the same number of
+    /// events, in strictly increasing commit-timestamp order.
     pub watchers: usize,
 }
 
@@ -111,16 +82,11 @@ impl Default for MixedWorkload {
             txns_per_thread: 200,
             threads: 4,
             seed: 42,
-            think_micros: 0,
-            shards: critique_storage::DEFAULT_SHARDS,
-            grant: GrantPolicy::default(),
             backend: BackendKind::default(),
-            upgrade: UpgradeStrategy::default(),
             range_fraction: 0.0,
             read_path: ReadPath::default(),
             durability: Durability::default(),
             group_commit: GroupCommit::default(),
-            fairness: FairnessPolicy::default(),
             watchers: 0,
         }
     }
@@ -190,83 +156,37 @@ impl WorkloadStats {
 }
 
 impl MixedWorkload {
-    /// The read-heavy preset of the scaling series: 95% read-only
-    /// transactions over the default table, everything else at the
-    /// defaults.  This is the mix where the epoch read path's "no stripe
-    /// lock on reads" claim dominates throughput, so it is the workload
-    /// the epoch-vs-locked bench series sweeps.
-    pub fn read_heavy() -> Self {
-        MixedWorkload {
-            read_fraction: 0.95,
-            ..MixedWorkload::default()
-        }
-    }
-
-    /// This workload with a different worker count (used by the scaling
-    /// sweep).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// This workload with a different contended-grant policy (used by the
-    /// handoff comparison).
-    pub fn with_grant(mut self, grant: GrantPolicy) -> Self {
-        self.grant = grant;
-        self
-    }
-
-    /// This workload on a different storage backend (used by the
-    /// backend-comparison sweep).
+    /// This workload on a different storage backend.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
     }
 
-    /// This workload with a different read-modify-write locking strategy
-    /// (used by the handoff comparison's U-lock legs).
-    pub fn with_upgrade(mut self, upgrade: UpgradeStrategy) -> Self {
-        self.upgrade = upgrade;
-        self
-    }
-
-    /// This workload with a different range-scan mix (used by the
-    /// point-vs-range scaling comparison).
+    /// This workload with a different range-scan mix.
     pub fn with_range_fraction(mut self, range_fraction: f64) -> Self {
         self.range_fraction = range_fraction;
         self
     }
 
-    /// This workload on a different storage read discipline (used by the
-    /// read-heavy epoch-vs-locked comparison).
+    /// This workload on a different storage read discipline.
     pub fn with_read_path(mut self, read_path: ReadPath) -> Self {
         self.read_path = read_path;
         self
     }
 
-    /// This workload with a different storage durability mode (used by
-    /// the `durable_logstore` fsync-tax comparison).
+    /// This workload with a different storage durability mode.
     pub fn with_durability(mut self, durability: Durability) -> Self {
         self.durability = durability;
         self
     }
 
-    /// This workload with a different commit fsync scheduling (used by
-    /// the `group_commit` batched-vs-per-commit comparison).
+    /// This workload with a different commit fsync scheduling.
     pub fn with_group_commit(mut self, group_commit: GroupCommit) -> Self {
         self.group_commit = group_commit;
         self
     }
 
-    /// This workload with a different lock fast-path fairness policy
-    /// (used by the handoff grid's FIFO-vs-barging legs).
-    pub fn with_fairness(mut self, fairness: FairnessPolicy) -> Self {
-        self.fairness = fairness;
-        self
-    }
-
-    /// This workload with commit-time table watchers attached (used by
-    /// the `watch_fanout` comparison).
+    /// This workload with commit-time table watchers attached.
     pub fn with_watchers(mut self, watchers: usize) -> Self {
         self.watchers = watchers;
         self
@@ -278,14 +198,10 @@ impl MixedWorkload {
         let config = EngineConfig::new(level)
             .blocking(200)
             .without_history()
-            .with_shards(self.shards)
-            .with_grant_policy(self.grant)
             .with_backend(self.backend)
-            .with_upgrade_strategy(self.upgrade)
             .with_read_path(self.read_path)
             .with_durability(self.durability)
-            .with_group_commit(self.group_commit)
-            .with_fairness(self.fairness);
+            .with_group_commit(self.group_commit);
         let db = Database::with_config(config);
         // Every account carries an indexed `bucket` key (its seed ordinal)
         // so range operations have an ordered index to scan.
@@ -319,9 +235,6 @@ impl MixedWorkload {
         let txn = db.begin();
         let mut failed: Option<TxnError> = None;
         for _ in 0..self.ops_per_txn {
-            if self.think_micros > 0 {
-                std::thread::sleep(Duration::from_micros(self.think_micros));
-            }
             // A range operation: scan a small bucket window through the
             // ordered index, and in update transactions rewrite the first
             // row it returns (an RMW over the locked interval).
@@ -361,7 +274,7 @@ impl MixedWorkload {
             }
             let id = *self.pick_account(rng, ids);
             // An update transaction's read is the RMW pattern: declare the
-            // write intent so the configured UpgradeStrategy applies.
+            // write intent so would-be upgraders serialise at the read.
             let read = if read_only {
                 txn.read("accounts", id)
             } else {
@@ -522,17 +435,7 @@ mod tests {
             txns_per_thread: 30,
             threads: 3,
             seed: 7,
-            think_micros: 0,
-            shards: critique_storage::DEFAULT_SHARDS,
-            grant: GrantPolicy::DirectHandoff,
-            backend: BackendKind::MvStore,
-            upgrade: UpgradeStrategy::SharedThenUpgrade,
-            range_fraction: 0.0,
-            read_path: ReadPath::Epoch,
-            durability: Durability::Ephemeral,
-            group_commit: GroupCommit::Off,
-            fairness: FairnessPolicy::Barging,
-            watchers: 0,
+            ..MixedWorkload::default()
         }
     }
 
@@ -544,18 +447,6 @@ mod tests {
                 .run(IsolationLevel::Serializable);
             assert_eq!(stats.attempted(), 90, "{backend}");
             assert!(stats.committed > 0, "{backend}");
-        }
-    }
-
-    #[test]
-    fn contended_workload_completes_under_both_grant_policies() {
-        let mut spec = small();
-        spec.read_fraction = 0.0;
-        spec.hot_fraction = 1.0;
-        for grant in [GrantPolicy::DirectHandoff, GrantPolicy::WakeAll] {
-            let stats = spec.with_grant(grant).run(IsolationLevel::Serializable);
-            assert_eq!(stats.attempted(), 90, "{grant:?}");
-            assert!(stats.committed > 0, "{grant:?}");
         }
     }
 
@@ -581,35 +472,19 @@ mod tests {
     }
 
     #[test]
-    fn contended_workload_completes_under_queue_fifo_fairness() {
+    fn hot_key_rmw_workload_has_zero_deadlocks() {
+        // Pure RMW traffic on one hot row: the U locks taken by
+        // `read_for_update` serialise the would-be upgraders at the read,
+        // so no deadlock is possible (a cycle would need either an upgrade
+        // collision — impossible, only one U holder at a time — or a
+        // second lock, and there is none).
         let mut spec = small();
         spec.read_fraction = 0.0;
         spec.hot_fraction = 1.0;
-        let stats = spec
-            .with_fairness(FairnessPolicy::QueueFifo)
-            .run(IsolationLevel::Serializable);
+        let stats = spec.run(IsolationLevel::Serializable);
         assert_eq!(stats.attempted(), 90);
+        assert_eq!(stats.aborted_deadlock, 0);
         assert!(stats.committed > 0);
-    }
-
-    #[test]
-    fn update_lock_strategy_removes_deadlocks_from_the_hot_key_workload() {
-        // Pure RMW traffic on one hot row: under U locks the would-be
-        // upgraders serialise at the read, so no deadlock is possible (a
-        // cycle would need either an upgrade collision — impossible, only
-        // one U holder at a time — or a second lock, and there is none).
-        let mut spec = small();
-        spec.read_fraction = 0.0;
-        spec.hot_fraction = 1.0;
-        for grant in [GrantPolicy::DirectHandoff, GrantPolicy::WakeAll] {
-            let stats = spec
-                .with_grant(grant)
-                .with_upgrade(UpgradeStrategy::UpdateLock)
-                .run(IsolationLevel::Serializable);
-            assert_eq!(stats.attempted(), 90, "{grant:?}");
-            assert_eq!(stats.aborted_deadlock, 0, "{grant:?}");
-            assert!(stats.committed > 0, "{grant:?}");
-        }
     }
 
     #[test]
@@ -708,20 +583,8 @@ mod tests {
     }
 
     #[test]
-    fn read_heavy_preset_is_95_percent_reads() {
-        let spec = MixedWorkload::read_heavy();
-        assert!((spec.read_fraction - 0.95).abs() < 1e-9);
-        assert_eq!(spec.read_path, ReadPath::Epoch);
-        assert_eq!(
-            spec.with_read_path(ReadPath::Locked).read_path,
-            ReadPath::Locked
-        );
-    }
-
-    #[test]
     fn read_only_run_takes_zero_stripe_locks_on_the_epoch_path() {
-        // The tentpole acceptance criterion, at the workload level: a
-        // read-only MixedWorkload run on the epoch path must record *zero*
+        // A read-only MixedWorkload run on the epoch path must record *zero*
         // read-path stripe-lock acquisitions (seeding writes take stripe
         // write locks, but those are not read-path acquisitions), while
         // pinning an epoch for every read.
@@ -742,10 +605,10 @@ mod tests {
     }
 
     #[test]
-    fn locked_baseline_counts_its_stripe_lock_acquisitions() {
-        // Sanity check of the A/B instrument itself: the same read-only
-        // run on the locked baseline must show a nonzero acquisition
-        // count, or the epoch path's zero would be vacuous.
+    fn locked_read_path_counts_its_stripe_lock_acquisitions() {
+        // Sanity check of the counter itself: the same read-only run on
+        // the locked read path must show a nonzero acquisition count, or
+        // the epoch path's zero would be vacuous.
         let mut spec = small().with_read_path(ReadPath::Locked);
         spec.read_fraction = 1.0;
         let (db, ids) = spec.seed_database(IsolationLevel::SnapshotIsolation);

@@ -117,9 +117,8 @@ struct Exerciser {
     emp_rows: Vec<RowId>,
     next_value: i64,
     /// Route every update through a preceding `read_for_update` (the
-    /// read-modify-write shape), so the configured `UpgradeStrategy`
-    /// actually locks something.  Off for the default matrix, on for the
-    /// U-lock freedom matrix.
+    /// read-modify-write shape), so the engine takes U locks.  Off for the
+    /// default matrix, on for the U-lock freedom matrix.
     rmw_reads: bool,
     /// Range mode: seed a `bucket` index on `accounts` plus a second
     /// `employees` table, and plan interval scans and multi-table
@@ -130,14 +129,7 @@ struct Exerciser {
 
 impl Exerciser {
     fn run(level: IsolationLevel, seed: u64, backend: BackendKind) -> History {
-        Self::run_configured(
-            level,
-            seed,
-            backend,
-            UpgradeStrategy::SharedThenUpgrade,
-            false,
-            false,
-        )
+        Self::run_configured(level, seed, backend, false, false)
     }
 
     /// The same deterministic driver with update-mode locks: every update
@@ -146,28 +138,14 @@ impl Exerciser {
     /// retries later), but they must never admit a forbidden phenomenon —
     /// that is what "U locks alter no isolation verdict" means.
     fn run_update_lock(level: IsolationLevel, seed: u64, backend: BackendKind) -> History {
-        Self::run_configured(
-            level,
-            seed,
-            backend,
-            UpgradeStrategy::UpdateLock,
-            true,
-            false,
-        )
+        Self::run_configured(level, seed, backend, true, false)
     }
 
     /// The range/multi-table matrix: interval scans over an ordered index
     /// plus predicate traffic on a second table, so one history carries
     /// phantom material for *two* predicate domains at once.
     fn run_range(level: IsolationLevel, seed: u64, backend: BackendKind) -> History {
-        Self::run_configured(
-            level,
-            seed,
-            backend,
-            UpgradeStrategy::SharedThenUpgrade,
-            false,
-            true,
-        )
+        Self::run_configured(level, seed, backend, false, true)
     }
 
     /// The watcher leg's driver: the standard deterministic matrix cell
@@ -181,42 +159,28 @@ impl Exerciser {
         seed: u64,
         backend: BackendKind,
     ) -> (History, Vec<ChangeEvent>) {
-        Self::run_instrumented(
-            level,
-            seed,
-            backend,
-            UpgradeStrategy::SharedThenUpgrade,
-            false,
-            false,
-            true,
-        )
+        Self::run_instrumented(level, seed, backend, false, false, true)
     }
 
     fn run_configured(
         level: IsolationLevel,
         seed: u64,
         backend: BackendKind,
-        upgrade: UpgradeStrategy,
         rmw_reads: bool,
         range_mode: bool,
     ) -> History {
-        Self::run_instrumented(level, seed, backend, upgrade, rmw_reads, range_mode, false).0
+        Self::run_instrumented(level, seed, backend, rmw_reads, range_mode, false).0
     }
 
     fn run_instrumented(
         level: IsolationLevel,
         seed: u64,
         backend: BackendKind,
-        upgrade: UpgradeStrategy,
         rmw_reads: bool,
         range_mode: bool,
         watch: bool,
     ) -> (History, Vec<ChangeEvent>) {
-        let db = Database::with_config(
-            EngineConfig::new(level)
-                .with_backend(backend)
-                .with_upgrade_strategy(upgrade),
-        );
+        let db = Database::with_config(EngineConfig::new(level).with_backend(backend));
         let mut ex = Exerciser {
             db,
             rng: StdRng::seed_from_u64(seed),
@@ -440,8 +404,7 @@ impl Exerciser {
             }
             PlannedOp::Update(row, value) => {
                 // In RMW mode the update declares itself at a read first,
-                // so the configured UpgradeStrategy decides the read's
-                // lock mode.  A blocked half leaves the whole op pending;
+                // which takes a U lock at the locking levels.  A blocked half leaves the whole op pending;
                 // the retry re-runs both halves verbatim.
                 let declared = if rmw_reads {
                     slot.txn.read_for_update("accounts", *row).map(|_| ())
@@ -878,8 +841,8 @@ fn conformance_cross_backend_cursor_ops_are_generated() {
 }
 
 /// "U locks alter no isolation verdict", made executable: the full
-/// 8-level × 3-seed matrix re-run with `UpgradeStrategy::UpdateLock` and
-/// every update declared at a `read_for_update`.  Update-mode locks may
+/// 8-level × 3-seed matrix re-run with every update declared at a
+/// `read_for_update`.  Update-mode locks may
 /// reorder the interleaving (a U conflict retries where a Shared grant
 /// would have proceeded), so histories legitimately differ from the
 /// default matrix — but they may only ever be *more* restrictive: every
