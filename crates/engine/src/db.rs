@@ -15,12 +15,104 @@ use critique_core::IsolationLevel;
 use critique_history::History;
 use critique_lock::LockManager;
 use critique_storage::{
-    Condition, MvReadStats, MvStore, Row, RowId, RowPredicate, StorageBackend, TimestampOracle,
-    TxnToken,
+    Condition, LowWaterMark, MvReadStats, MvStore, Row, RowId, RowPredicate, StorageBackend,
+    Timestamp, TimestampOracle, TxnToken,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Who can still read what: the Start-Timestamps of the live multiversion
+/// transactions, and the store's pruning horizon they hold back.
+///
+/// Section 4.2 lets a Snapshot Isolation transaction run "as long as the
+/// snapshot data from its Start-Timestamp can be maintained"; this
+/// registry is what maintains it.  Snapshot Isolation and Oracle Read
+/// Consistency transactions are entered for their whole lifetime (every
+/// Read Consistency statement timestamp is at or after the transaction's
+/// start, so the start covers them all).  The locking levels read only
+/// the chain head and are never entered, so with none of the others alive
+/// the mark follows the clock and every chain collapses to the versions a
+/// rollback or the next commit still needs.
+pub(crate) struct ActiveSnapshots {
+    /// A multiset, one entry per live transaction — a handful, so a
+    /// vector that keeps its capacity beats an ordered map that allocates.
+    starts: Mutex<Vec<Timestamp>>,
+    /// The [`MvStore`]'s low-water mark; `None` on a backend that does
+    /// not prune.
+    mark: Option<Arc<LowWaterMark>>,
+}
+
+impl ActiveSnapshots {
+    fn new(store: &dyn StorageBackend) -> Self {
+        ActiveSnapshots {
+            starts: Mutex::new(Vec::new()),
+            // The same `as_any` route as `Database::mv_read_stats`: it
+            // passes through decorators that forward `as_any`, which a
+            // new `StorageBackend` method would not.
+            mark: store
+                .as_any()
+                .downcast_ref::<MvStore>()
+                .map(MvStore::low_water_mark),
+        }
+    }
+
+    /// Take a snapshot: read the clock and enter the timestamp in one
+    /// critical section.  [`ActiveSnapshots::publish_mark`] reads the
+    /// clock inside the same mutex, so a mark is either computed after
+    /// this entry (and sees it) or before it — and then this snapshot's
+    /// timestamp, read later from a monotonic clock, is at or above that
+    /// mark.  A snapshot can never lose its data to a committer that
+    /// computed the mark in between.
+    pub(crate) fn begin(&self, clock: &TimestampOracle) -> Timestamp {
+        let mut starts = self.starts.lock();
+        let start = clock.current();
+        starts.push(start);
+        start
+    }
+
+    fn remove(starts: &mut Vec<Timestamp>, start: Timestamp) {
+        let at = starts
+            .iter()
+            .position(|s| *s == start)
+            .expect("a snapshot is entered at begin and left exactly once");
+        starts.swap_remove(at);
+    }
+
+    /// Leave without committing: the transaction that took `start` rolled
+    /// back and will read no more.
+    pub(crate) fn end(&self, start: Timestamp) {
+        Self::remove(&mut self.starts.lock(), start);
+    }
+
+    /// Advance the store's mark to `min(oldest live snapshot, the clock)`.
+    /// Every committer calls this after publishing its timestamp, still
+    /// inside the commit sequence; a multiversion committer passes its own
+    /// snapshot as `leaving` — it has done its last read — so that a lone
+    /// writer's mark keeps up with its own commits.
+    pub(crate) fn publish_mark(&self, clock: &TimestampOracle, leaving: Option<Timestamp>) {
+        let Some(mark) = &self.mark else {
+            // Nothing prunes on this backend; only the entry matters.
+            if let Some(start) = leaving {
+                self.end(start);
+            }
+            return;
+        };
+        let horizon = {
+            let mut starts = self.starts.lock();
+            if let Some(start) = leaving {
+                Self::remove(&mut starts, start);
+            }
+            let now = clock.current();
+            starts
+                .iter()
+                .copied()
+                .min()
+                .map_or(now, |oldest| oldest.min(now))
+        };
+        mark.advance(horizon);
+    }
+}
 
 pub(crate) struct DbInner {
     pub(crate) config: EngineConfig,
@@ -43,6 +135,8 @@ pub(crate) struct DbInner {
     /// order) and publishes them only after
     /// [`StorageBackend::flush_commit`] returns.
     pub(crate) watch: WatchHub,
+    /// The live multiversion snapshots and the pruning horizon they hold.
+    pub(crate) snapshots: ActiveSnapshots,
     next_txn: AtomicU64,
 }
 
@@ -87,6 +181,7 @@ impl Database {
         Database {
             inner: Arc::new(DbInner {
                 profile: LockProfile::for_level(config.level),
+                snapshots: ActiveSnapshots::new(&*store),
                 store,
                 locks: LockManager::with_shards(config.shards),
                 ts: TimestampOracle::new(),

@@ -49,7 +49,14 @@ pub struct Transaction {
 
 impl Transaction {
     pub(crate) fn new(db: Arc<DbInner>, token: TxnToken) -> Self {
-        let start_ts = db.ts.current();
+        // The multiversion levels read as of a timestamp, so theirs is
+        // entered in the registry that holds version pruning back; the
+        // locking levels read the chain head and only record the clock.
+        let start_ts = if db.config.level.is_multiversion() {
+            db.snapshots.begin(&db.ts)
+        } else {
+            db.ts.current()
+        };
         Transaction {
             db,
             token,
@@ -811,6 +818,10 @@ impl Transaction {
                     .finish_collect(&*self.db.store, staged, self.token, commit_ts);
             }
             self.db.ts.publish(commit_ts);
+            // With the commit visible, this transaction's own snapshot is
+            // finished with; move the store's pruning horizon up to the
+            // oldest one still alive.
+            self.db.snapshots.publish_mark(&self.db.ts, self.snapshot());
         }
         // Outside the commit sequence: under group commit the store only
         // *enqueued* its commit record above, and this call parks until a
@@ -846,6 +857,20 @@ impl Transaction {
         self.db.store.abort(self.token);
         self.db.locks.release_all(self.token);
         self.db.recorder.abort(self.token);
+        if let Some(start) = self.snapshot() {
+            self.db.snapshots.end(start);
+        }
+    }
+
+    /// The registry entry this transaction made at begin, if its level
+    /// reads as of a timestamp.  Left exactly once: by the commit sequence
+    /// when it publishes the mark, or by rollback.
+    fn snapshot(&self) -> Option<Timestamp> {
+        self.db
+            .config
+            .level
+            .is_multiversion()
+            .then_some(self.start_ts)
     }
 }
 

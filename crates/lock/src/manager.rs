@@ -1063,14 +1063,47 @@ impl LockManager {
     /// lock (used when a cursor moves off a row: a lock that was meanwhile
     /// upgraded to long duration by an update must survive).
     pub fn release_cursor_target(&self, txn: TxnToken, target: &LockTarget) {
-        self.release_where(txn, false, |held| {
-            &held.target == target && held.duration == LockDuration::Cursor
-        });
+        self.release_one(txn, target, |held| held.duration == LockDuration::Cursor);
     }
 
     /// Release one specific lock held by `txn`.
     pub fn release_target(&self, txn: TxnToken, target: &LockTarget) {
-        self.release_where(txn, false, |held| &held.target == target);
+        self.release_one(txn, target, |_| true);
+    }
+
+    /// Remove `txn`'s lock on `target`, if `also` agrees.  An item target
+    /// names its shard and bucket, so the lock is taken straight from
+    /// there and nothing else the transaction holds is visited (a load
+    /// batch releases one phantom-guard lock per inserted row; going
+    /// through [`LockManager::release_where`] made that quadratic in the
+    /// batch size).  The transaction's index entry for the shard stays
+    /// behind as a stale superset, which every index reader tolerates.
+    /// Predicate targets keep the general path.
+    fn release_one<F>(&self, txn: TxnToken, target: &LockTarget, also: F)
+    where
+        F: Fn(&HeldLock) -> bool,
+    {
+        let mine = |held: &HeldLock| held.holder == txn && &held.target == target && also(held);
+        let LockTarget::Item { table, row } = target else {
+            return self.release_where(txn, false, mine);
+        };
+        let key = item_key(table, *row);
+        let released = {
+            let mut shard = self.shards[self.shard_index(key)].lock();
+            let Some(bucket) = shard.buckets.get_mut(&key) else {
+                return;
+            };
+            let before = bucket.len();
+            bucket.retain(|held| !mine(held));
+            let released = bucket.len() < before;
+            if bucket.is_empty() {
+                shard.buckets.remove(&key);
+            }
+            released
+        };
+        if released && self.wait.has_waiters() {
+            self.sweep(&BTreeSet::from([table.clone()]));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1390,6 +1423,72 @@ mod tests {
         lm.release_cursor(TxnToken(1), Some(&item(1)));
         assert!(!lm.holds(TxnToken(1), &item(0), LockMode::Shared));
         assert!(lm.holds(TxnToken(1), &item(1), LockMode::Shared));
+    }
+
+    #[test]
+    fn item_release_touches_one_bucket_and_hands_the_lock_on() {
+        let lm = Arc::new(LockManager::with_shards(1));
+        for row in 0..3 {
+            lm.try_acquire(
+                TxnToken(1),
+                item(row),
+                LockMode::Exclusive,
+                &[],
+                LockDuration::Long,
+            );
+        }
+        // Another holder's lock on the same item, and this holder's other
+        // locks, must survive; a cursor-only release must not take a lock
+        // that has since become long.
+        lm.try_acquire(
+            TxnToken(2),
+            item(3),
+            LockMode::Shared,
+            &[],
+            LockDuration::Long,
+        );
+        lm.try_acquire(
+            TxnToken(1),
+            item(3),
+            LockMode::Shared,
+            &[],
+            LockDuration::Cursor,
+        );
+        lm.release_cursor_target(TxnToken(1), &item(0));
+        assert!(lm.holds(TxnToken(1), &item(0), LockMode::Exclusive));
+        lm.release_cursor_target(TxnToken(1), &item(3));
+        assert!(!lm.holds(TxnToken(1), &item(3), LockMode::Shared));
+        assert!(lm.holds(TxnToken(2), &item(3), LockMode::Shared));
+
+        // A parked waiter is granted by the release itself.
+        let waiter = {
+            let lm = Arc::clone(&lm);
+            std::thread::spawn(move || {
+                lm.acquire(
+                    TxnToken(3),
+                    item(1),
+                    LockMode::Exclusive,
+                    &[],
+                    LockDuration::Long,
+                    Duration::from_secs(10),
+                )
+            })
+        };
+        while lm.queued_waiters() == 0 {
+            std::thread::yield_now();
+        }
+        lm.release_target(TxnToken(1), &item(1));
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+        assert!(lm.holds(TxnToken(3), &item(1), LockMode::Exclusive));
+        assert_eq!(lm.held_by(TxnToken(1)), 2);
+
+        // Releasing something not held is a no-op.
+        lm.release_target(TxnToken(1), &item(9));
+        lm.release_all(TxnToken(1));
+        lm.release_all(TxnToken(2));
+        lm.release_all(TxnToken(3));
+        assert_eq!(lm.total_held(), 0);
+        assert!(lm.shards[0].lock().buckets.is_empty());
     }
 
     #[test]

@@ -79,11 +79,12 @@ pub use crate::predicate::{Comparison, Condition, KeyInterval, RowPredicate};
 pub use crate::row::{Row, RowId};
 pub use crate::snapshot::Snapshot;
 pub use crate::store::{
-    MvReadStats, MvStore, ReadPath, StorageError, TableName, WriteKind, DEFAULT_SHARDS,
+    LowWaterMark, MvReadStats, MvStore, ReadPath, StorageError, TableName, WriteKind,
+    DEFAULT_SHARDS,
 };
 pub use crate::timestamp::{Timestamp, TimestampOracle, TxnToken};
 pub use crate::value::ColumnValue;
-pub use crate::version::{ChainHead, Version, VersionChain, VersionNode};
+pub use crate::version::{ChainHead, PrunedTail, Version, VersionChain, VersionNode};
 
 /// Convenient glob-import of the most commonly used types.
 pub mod prelude {
@@ -94,9 +95,10 @@ pub mod prelude {
     pub use crate::row::{Row, RowId};
     pub use crate::snapshot::Snapshot;
     pub use crate::store::{
-        MvReadStats, MvStore, ReadPath, StorageError, TableName, WriteKind, DEFAULT_SHARDS,
+        LowWaterMark, MvReadStats, MvStore, ReadPath, StorageError, TableName, WriteKind,
+        DEFAULT_SHARDS,
     };
     pub use crate::timestamp::{Timestamp, TimestampOracle, TxnToken};
     pub use crate::value::ColumnValue;
-    pub use crate::version::{ChainHead, Version, VersionChain, VersionNode};
+    pub use crate::version::{ChainHead, PrunedTail, Version, VersionChain, VersionNode};
 }

@@ -4,9 +4,9 @@
 //! The store used to be a single `RwLock` around every table, then a set
 //! of hash-partitioned shards each behind its own `RwLock`.  Sharding
 //! removed the global chokepoint, but readers of a shard still serialised
-//! against writers of the *same* shard — even though version chains are
-//! append-mostly and visibility is decided purely by timestamps.  This
-//! layout removes the read-side locks entirely:
+//! against writers of the *same* shard — even though a version, once
+//! published, never changes and visibility is decided purely by
+//! timestamps.  This layout removes the read-side locks entirely:
 //!
 //! * a **table registry** is a grow-only lock-free list mapping each
 //!   interned table name (`Arc<str>`) to its metadata; lookups walk it
@@ -22,6 +22,10 @@
 //!   stores: a new version is fully built before the head pointer moves,
 //!   a commit stamp flips atomically, an abort splices nodes out and hands
 //!   them to the epoch domain ([`Ebr`]) instead of freeing them;
+//! * the same writers keep the store **stationary**: every
+//!   `update`/`delete` cuts the row's chain below the newest version
+//!   committed at or before the store's [`LowWaterMark`] and retires the
+//!   tail (see *Version pruning* below) — no background thread, no timer;
 //! * **readers** pin an epoch ([`Ebr::pin`]) for the duration of one
 //!   operation and traverse chains through the pin — no stripe lock, no
 //!   reference counting, wait-free in the common case.  Retired nodes are
@@ -37,6 +41,35 @@
 //! ("reads take no lock"), and the EBR domain's `reclaimed_while_pinned`
 //! stays zero ("no use-after-free").  [`ReadPath::Locked`] takes stripe
 //! read-locks on every read instead.
+//!
+//! # Version pruning
+//!
+//! Section 4.2 of the paper lets a Snapshot Isolation reader run "as long
+//! as the snapshot data from its Start-Timestamp can be maintained" — which
+//! read the other way round is the reclamation rule: per row, only the
+//! newest version committed at or before the *oldest Start-Timestamp still
+//! in use*, and everything newer, can ever be read again.  The store holds
+//! that horizon as one monotonic [`LowWaterMark`]; whoever knows which
+//! snapshots are live (the engine's active-snapshot registry) advances it,
+//! and writers prune against it.  The invariants:
+//!
+//! * the **boundary** of a chain is its newest committed version with
+//!   `commit_ts <= mark`; it and everything above it stay linked;
+//! * an uncommitted version, or one committed after the mark, is never
+//!   unlinked wherever it sits, so a row's last committed version
+//!   (a tombstone included) always survives;
+//! * the cut is a single release store of `next = null`; the detached
+//!   nodes keep their own `next`, so a pinned reader already standing on
+//!   them finishes a coherent walk, and they are freed through [`Ebr`]
+//!   like aborted versions;
+//! * a pruned version gives up its `OrderedIndex` reference *after* the
+//!   unlink (the index stays a superset of every chain view) — or passes
+//!   it to the version being installed when both carry the same key, which
+//!   on an indexed table saves two O(rows) list walks per update;
+//! * the mark starts at 0, which prunes nothing: a store nobody advances
+//!   the mark of (every direct user in the tests, the time-travel reads)
+//!   keeps every committed version forever, exactly as before.  Below an
+//!   advanced mark, `*_committed_as_of` answers are no longer history.
 //!
 //! Bookkeeping surfaces (`version_count`, `committed_row_count`,
 //! `row_ids`, `tables`) are lock-free in **both** modes: they are
@@ -108,6 +141,35 @@ impl MvReadStats {
     /// reclamation is always epoch-based).
     pub fn read_pins(&self) -> u64 {
         self.read_pins.load(Ordering::Relaxed)
+    }
+}
+
+/// The pruning horizon of an [`MvStore`]: no present or future reader will
+/// ask for the state as of a timestamp below it, so writers may unlink
+/// whatever only such a reader could reach (see *Version pruning* in the
+/// module docs).  Monotonic; starts at 0, which prunes nothing.
+///
+/// The store only reads it.  Advancing it is the job of whoever tracks the
+/// live snapshots — the engine takes the handle once
+/// ([`MvStore::low_water_mark`]) and publishes `min(oldest active
+/// Start-Timestamp, latest published commit)` after each commit.
+#[derive(Debug, Default)]
+pub struct LowWaterMark(AtomicU64);
+
+impl LowWaterMark {
+    /// Raise the mark to `to`; a lower value is ignored.  The caller
+    /// promises that every reader below `to` has finished and none will
+    /// start.
+    pub fn advance(&self, to: Timestamp) {
+        // The Release half pairs with the Acquire in `get`: the reads of
+        // the snapshots that ended before the caller computed `to` happen
+        // before any prune that acts on it.
+        self.0.fetch_max(to.0, Ordering::AcqRel);
+    }
+
+    /// The current mark.
+    pub fn get(&self) -> Timestamp {
+        Timestamp(self.0.load(Ordering::Acquire))
     }
 }
 
@@ -628,6 +690,17 @@ type OwnedWrite = (Arc<str>, RowId, WriteKind);
 
 type WriteSet = BTreeMap<TxnToken, Vec<OwnedWrite>>;
 
+/// One row of a write set being committed or rolled back: where it lives
+/// and how many versions the transaction installed on it — which is what
+/// lets [`ChainHead::commit`]/[`ChainHead::abort`] stop at the
+/// transaction's own versions instead of walking the retained history.
+struct WrittenRow {
+    stripe: usize,
+    table: Arc<str>,
+    id: RowId,
+    installed: usize,
+}
+
 /// Resolve one visibility rule against a chain under the caller's pin —
 /// the four point reads and every scan funnel through this single match.
 fn read_view<'g>(
@@ -659,6 +732,7 @@ pub struct MvStore {
     stripes: Box<[RwLock<()>]>,
     write_sets: Box<[Mutex<WriteSet>]>,
     ebr: Ebr,
+    low_water: Arc<LowWaterMark>,
     read_path: ReadPath,
     stats: Arc<MvReadStats>,
 }
@@ -697,6 +771,7 @@ impl MvStore {
             stripes: (0..shards).map(|_| RwLock::new(())).collect(),
             write_sets: (0..shards).map(|_| Mutex::new(WriteSet::new())).collect(),
             ebr: Ebr::new(),
+            low_water: Arc::new(LowWaterMark::default()),
             read_path,
             stats: Arc::new(MvReadStats::default()),
         }
@@ -717,6 +792,12 @@ impl MvStore {
         Arc::clone(&self.stats)
     }
 
+    /// Shared handle to the pruning horizon.  Until someone advances it
+    /// the store prunes nothing.
+    pub fn low_water_mark(&self) -> Arc<LowWaterMark> {
+        Arc::clone(&self.low_water)
+    }
+
     /// Snapshot of the epoch domain's reclamation counters.
     pub fn reclamation_stats(&self) -> ReclamationStats {
         self.ebr.stats()
@@ -728,8 +809,12 @@ impl MvStore {
         self.ebr.flush();
     }
 
+    fn stripe_index(&self, table: &str, id: RowId) -> usize {
+        (chain_hash(table, id) % self.stripes.len() as u64) as usize
+    }
+
     fn stripe_for(&self, table: &str, id: RowId) -> &RwLock<()> {
-        &self.stripes[(chain_hash(table, id) % self.stripes.len() as u64) as usize]
+        &self.stripes[self.stripe_index(table, id)]
     }
 
     fn write_set_for(&self, writer: TxnToken) -> &Mutex<WriteSet> {
@@ -877,23 +962,42 @@ impl MvStore {
             .registry
             .lookup(table)
             .ok_or_else(|| StorageError::NoSuchTable(table.to_string()))?;
-        let key = {
+        let pruned = {
             let guard = self.ebr.pin();
-            meta.indexed_column_ref(&guard)
-                .and_then(|col| row.as_ref().and_then(|r| r.get_int(col)))
-        };
-        {
+            let indexed = meta.indexed_column_ref(&guard);
+            let key_of = |row: Option<&Row>| indexed.and_then(|col| row?.get_int(col));
             let _stripe = self.stripe_for(table, id).write();
             let slot = meta
                 .chains
                 .slot(id)
                 .filter(|slot| slot.born.load(Ordering::Acquire))
                 .ok_or_else(|| StorageError::NoSuchRow(table.to_string(), id))?;
-            if let Some(key) = key {
+            // The writer's share of garbage collection: it holds the
+            // stripe anyway, so it cuts off what no reader at or above the
+            // low-water mark can reach.
+            let pruned = slot.chain.prune(self.low_water.get());
+            // Index before chain publication and after the unlink: the
+            // index stays a superset of every chain view, so a concurrent
+            // range probe can never miss a key whose version it would
+            // pick.  A pruned version with the new version's key hands its
+            // reference over — neither list walk happens.
+            let mut add = key_of(row.as_ref());
+            for version in pruned.versions() {
+                match key_of(version.row()) {
+                    Some(key) if Some(key) == add => add = None,
+                    Some(key) => meta.index.remove(key, id, &self.ebr),
+                    None => {}
+                }
+            }
+            if let Some(key) = add {
                 meta.index.add(key, id);
             }
             slot.chain.install(writer, row);
-        }
+            pruned
+        };
+        // Stripe and pin are gone: retiring now delays neither other
+        // writers of the stripe nor the epoch.
+        pruned.retire(&self.ebr);
         self.record_write(writer, (Arc::clone(&meta.name), id, kind));
         Ok(())
     }
@@ -1077,34 +1181,42 @@ impl MvStore {
             .unwrap_or_default()
     }
 
+    /// The chain a write-set entry names.  Chains are never removed, so a
+    /// miss is a broken invariant, not an input error.
+    fn written_slot(&self, writer: TxnToken, table: &str, id: RowId) -> (&TableMeta, &RowSlot) {
+        self.registry
+            .lookup(table)
+            .and_then(|meta| Some((meta, meta.chains.slot(id)?)))
+            .unwrap_or_else(|| {
+                panic!(
+                    "{writer}'s write set names {table}{id} but its version chain is gone — \
+                     every recorded write installed a version, and chains must outlive every \
+                     write-set reference"
+                )
+            })
+    }
+
     /// The First-Committer-Wins check (Section 4.2): returns the first of
     /// `writer`'s written rows that was also written by a transaction that
     /// committed after `start_ts`, if any.  A non-`None` result means
     /// `writer` must abort rather than commit.
+    ///
+    /// Pruning cannot hide a conflict: it only unlinks versions committed
+    /// at or before the low-water mark, and the mark never passes the
+    /// Start-Timestamp of a live snapshot.
     pub fn first_committer_conflict(
         &self,
         writer: TxnToken,
         start_ts: Timestamp,
     ) -> Option<(TableName, RowId)> {
         let guard = self.ebr.pin();
-        for (table, id, _) in self.owned_writes_of(writer) {
-            let conflict = self
-                .registry
-                .lookup(&table)
-                .and_then(|meta| meta.chains.slot(id))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "first_committer_conflict({writer}): write set names {table}{id} but its \
-                         version chain is gone — chains must outlive every write-set reference"
-                    )
-                })
-                .chain
-                .committed_after(start_ts, writer, &guard);
-            if conflict {
-                return Some((table.to_string(), id));
-            }
-        }
-        None
+        self.owned_writes_of(writer)
+            .into_iter()
+            .find(|(table, id, _)| {
+                let (_, slot) = self.written_slot(writer, table, *id);
+                slot.chain.committed_after(start_ts, writer, &guard)
+            })
+            .map(|(table, id, _)| (table.to_string(), id))
     }
 
     /// True if any row written by `writer` currently has an uncommitted
@@ -1113,57 +1225,48 @@ impl MvStore {
     pub fn has_foreign_uncommitted_on_writes(&self, writer: TxnToken) -> bool {
         let guard = self.ebr.pin();
         self.owned_writes_of(writer).iter().any(|(table, id, _)| {
-            self.registry
-                .lookup(table)
-                .and_then(|meta| meta.chains.slot(*id))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "has_foreign_uncommitted_on_writes({writer}): write set names \
-                         {table}{id} but its version chain is gone — chains must outlive \
-                         every write-set reference"
-                    )
-                })
-                .chain
-                .has_foreign_uncommitted(writer, &guard)
+            let (_, slot) = self.written_slot(writer, table, *id);
+            slot.chain.has_foreign_uncommitted(writer, &guard)
         })
     }
 
-    /// Group a write set by stripe index so commit/abort lock each stripe
-    /// exactly once, in ascending order.
-    fn writes_by_stripe(&self, writes: &[OwnedWrite]) -> BTreeMap<usize, Vec<(Arc<str>, RowId)>> {
-        let mut by_stripe: BTreeMap<usize, Vec<(Arc<str>, RowId)>> = BTreeMap::new();
-        for (table, id, _) in writes {
-            let idx = (chain_hash(table, *id) % self.stripes.len() as u64) as usize;
-            by_stripe
-                .entry(idx)
-                .or_default()
-                .push((Arc::clone(table), *id));
-        }
-        by_stripe
-    }
-
-    /// Commit all of `writer`'s versions at timestamp `ts`.
-    pub fn commit(&self, writer: TxnToken, ts: Timestamp) {
+    /// Take `writer`'s write set and fold it into one entry per row,
+    /// sorted by stripe, so commit/abort lock each stripe exactly once, in
+    /// ascending order, and tell each chain how many versions to expect.
+    fn take_written_rows(&self, writer: TxnToken) -> Vec<WrittenRow> {
         let writes = self
             .write_set_for(writer)
             .lock()
             .remove(&writer)
             .unwrap_or_default();
-        for (idx, rows) in self.writes_by_stripe(&writes) {
-            let _stripe = self.stripes[idx].write();
-            for (table, id) in rows {
-                self.registry
-                    .lookup(&table)
-                    .and_then(|meta| meta.chains.slot(id))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "commit({writer} at {ts}): write set names {table}{id} but stripe \
-                             {idx} has no version chain for it — every recorded write must \
-                             have installed a version"
-                        )
-                    })
-                    .chain
-                    .commit(writer, ts);
+        let mut rows: Vec<WrittenRow> = writes
+            .into_iter()
+            .map(|(table, id, _)| WrittenRow {
+                stripe: self.stripe_index(&table, id),
+                table,
+                id,
+                installed: 1,
+            })
+            .collect();
+        rows.sort_unstable_by(|a, b| (a.stripe, a.id, &*a.table).cmp(&(b.stripe, b.id, &*b.table)));
+        rows.dedup_by(|again, first| {
+            let same_row = again.id == first.id && again.table == first.table;
+            if same_row {
+                first.installed += again.installed;
+            }
+            same_row
+        });
+        rows
+    }
+
+    /// Commit all of `writer`'s versions at timestamp `ts`.
+    pub fn commit(&self, writer: TxnToken, ts: Timestamp) {
+        let rows = self.take_written_rows(writer);
+        for in_stripe in rows.chunk_by(|a, b| a.stripe == b.stripe) {
+            let _stripe = self.stripes[in_stripe[0].stripe].write();
+            for row in in_stripe {
+                let (_, slot) = self.written_slot(writer, &row.table, row.id);
+                slot.chain.commit(writer, ts, row.installed);
             }
         }
     }
@@ -1174,40 +1277,28 @@ impl MvStore {
     /// them — and their index keys are rolled out *after* the unlink, so
     /// the index never under-covers the chain.
     pub fn abort(&self, writer: TxnToken) {
-        let writes = self
-            .write_set_for(writer)
-            .lock()
-            .remove(&writer)
-            .unwrap_or_default();
-        let guard = self.ebr.pin();
-        for (idx, rows) in self.writes_by_stripe(&writes) {
-            let _stripe = self.stripes[idx].write();
-            for (table, id) in rows {
-                let meta = self.registry.lookup(&table).unwrap_or_else(|| {
-                    panic!(
-                        "abort({writer}): write set names {table}{id} but stripe {idx} has \
-                         no version chain for it — rollback would silently leak the \
-                         uncommitted version"
-                    )
-                });
-                let slot = meta.chains.slot(id).unwrap_or_else(|| {
-                    panic!(
-                        "abort({writer}): write set names {table}{id} but stripe {idx} has \
-                         no version chain for it — rollback would silently leak the \
-                         uncommitted version"
-                    )
-                });
-                let removed = slot.chain.abort(writer);
-                let indexed = meta.indexed_column_ref(&guard);
-                for version in removed {
-                    if let Some(col) = indexed {
-                        if let Some(key) = version.row().and_then(|r| r.get_int(col)) {
-                            meta.index.remove(key, id, &self.ebr);
+        let rows = self.take_written_rows(writer);
+        let mut unlinked = Vec::new();
+        {
+            let guard = self.ebr.pin();
+            for in_stripe in rows.chunk_by(|a, b| a.stripe == b.stripe) {
+                let _stripe = self.stripes[in_stripe[0].stripe].write();
+                for row in in_stripe {
+                    let (meta, slot) = self.written_slot(writer, &row.table, row.id);
+                    let removed = slot.chain.abort(writer, row.installed);
+                    if let Some(col) = meta.indexed_column_ref(&guard) {
+                        for key in removed.iter().filter_map(|v| v.row()?.get_int(col)) {
+                            meta.index.remove(key, row.id, &self.ebr);
                         }
                     }
-                    version.retire(&self.ebr);
+                    unlinked.extend(removed);
                 }
             }
+        }
+        // Retired once the stripes and the pin are released, like pruned
+        // versions in `write_version`.
+        for version in unlinked {
+            version.retire(&self.ebr);
         }
     }
 
@@ -1720,5 +1811,136 @@ mod tests {
         assert_eq!(stats.reclaimed, 10, "and reclaimed once quiescent");
         assert_eq!(stats.reclaimed_while_pinned, 0);
         assert_eq!(store.version_count(), 1);
+    }
+
+    /// Every `(key, row id)` entry of `table`'s ordered index, in order.
+    fn index_entries(store: &MvStore, table: &str) -> Vec<(i64, RowId)> {
+        let guard = store.ebr.pin();
+        let meta = store.registry.lookup(table).expect("table exists");
+        let mut entries = Vec::new();
+        meta.index
+            .for_each_in_range(i64::MIN, i64::MAX, &guard, |key, id| {
+                entries.push((key, id))
+            });
+        entries
+    }
+
+    #[test]
+    fn writers_prune_below_the_low_water_mark() {
+        let store = MvStore::new();
+        let id = store.insert("t", TxnToken(1), balance_row(0));
+        store.commit(TxnToken(1), Timestamp(1));
+        let mark = store.low_water_mark();
+        for ts in 2..=5u64 {
+            store
+                .update("t", TxnToken(ts), id, balance_row(ts as i64))
+                .unwrap();
+            store.commit(TxnToken(ts), Timestamp(ts));
+        }
+        // Nobody advanced the mark: all five versions are still history.
+        assert_eq!(store.version_count(), 5);
+        assert_eq!(
+            store
+                .get_committed_as_of("t", id, Timestamp(2))
+                .unwrap()
+                .get_int("balance"),
+            Some(2)
+        );
+        // The mark moves to 4 (and never back): the next writer keeps the
+        // version a reader at 4 sees and everything newer.
+        mark.advance(Timestamp(4));
+        mark.advance(Timestamp(3));
+        assert_eq!(mark.get(), Timestamp(4));
+        store.update("t", TxnToken(6), id, balance_row(6)).unwrap();
+        assert_eq!(store.version_count(), 3);
+        for (ts, seen) in [(4, 4), (5, 5), (9, 5)] {
+            assert_eq!(
+                store
+                    .get_visible("t", id, TxnToken(99), Timestamp(ts))
+                    .unwrap()
+                    .get_int("balance"),
+                Some(seen)
+            );
+        }
+        // Rollback after a prune restores the retained before-image.
+        store.abort(TxnToken(6));
+        assert_eq!(
+            store.get_latest_any("t", id).unwrap().get_int("balance"),
+            Some(5)
+        );
+        store.flush_reclamation();
+        let stats = store.reclamation_stats();
+        assert_eq!((stats.retired, stats.reclaimed), (4, 4));
+        assert_eq!(stats.reclaimed_while_pinned, 0);
+    }
+
+    #[test]
+    fn pruned_versions_roll_their_keys_out_of_the_index() {
+        let store = MvStore::with_shards(4);
+        store.create_index("t", "k");
+        let keyed = |k: i64, v: i64| Row::new().with("k", k).with("v", v);
+        let id = store.insert("t", TxnToken(1), keyed(0, 0));
+        let bystander = store.insert("t", TxnToken(1), keyed(5, 0));
+        store.commit(TxnToken(1), Timestamp(1));
+        let mark = store.low_water_mark();
+        let mut ts = 1u64;
+        let mut write = |k: i64| {
+            ts += 1;
+            store
+                .update("t", TxnToken(ts), id, keyed(k, ts as i64))
+                .unwrap();
+            store.commit(TxnToken(ts), Timestamp(ts));
+            mark.advance(Timestamp(ts));
+        };
+        // 10k updates of one indexed row, the key mostly unchanged (the
+        // pruned version hands its reference on) and sometimes moving.
+        for i in 0..10_000 {
+            write(10 + i / 7);
+            assert!(index_entries(&store, "t").len() <= 3, "update {i}");
+            assert_eq!(store.version_count(), 1 + 2);
+        }
+        // A leaked reference would keep a dead key's entry alive; a lost
+        // one would drop an entry a linked version still needs.
+        for _ in 0..2 {
+            write(1_000_000);
+        }
+        assert_eq!(
+            index_entries(&store, "t"),
+            vec![(5, bystander), (1_000_000, id)]
+        );
+        for _ in 0..2 {
+            write(2_000_000);
+        }
+        assert_eq!(
+            index_entries(&store, "t"),
+            vec![(5, bystander), (2_000_000, id)]
+        );
+        let all = store.scan_range(
+            "t",
+            "k",
+            &KeyInterval::everything(),
+            ScanView::LatestCommitted,
+        );
+        assert_eq!(
+            all.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            vec![bystander, id]
+        );
+        // A tombstone carries no key: the pruned key still rolls out.
+        let tombstone = TxnToken(ts + 1);
+        store.delete("t", tombstone, id).unwrap();
+        store.commit(tombstone, Timestamp(ts + 1));
+        assert_eq!(
+            index_entries(&store, "t"),
+            vec![(5, bystander), (2_000_000, id)],
+            "the boundary below the tombstone keeps its entry"
+        );
+        // Backfilling another column sees only the retained versions.
+        store.create_index("t", "v");
+        assert_eq!(
+            index_entries(&store, "t"),
+            vec![(0, bystander), (ts as i64, id)]
+        );
+        store.flush_reclamation();
+        assert_eq!(store.reclamation_stats().reclaimed_while_pinned, 0);
     }
 }

@@ -13,6 +13,23 @@
 //!   stamp; writers mutate the links only under the owning stripe lock and
 //!   hand unlinked nodes to [`crate::ebr::Ebr`] instead of freeing them.
 //!
+//! Two things unlink a node: rollback ([`ChainHead::abort`]) and
+//! low-water-mark pruning ([`ChainHead::prune`]).  The pruning invariants,
+//! which the reference model's [`VersionChain::prune`] states in safe code
+//! and a property test holds the atomic chain to:
+//!
+//! * the **boundary** is the newest committed version with `commit_ts <=
+//!   mark` — the one version a reader whose timestamp is at or above the
+//!   mark can still need from that point down;
+//! * nothing at or above the boundary is ever unlinked, and neither is an
+//!   uncommitted version or one committed after the mark that sits below it
+//!   (the cut moves down past the oldest such straggler), so a row's last
+//!   committed version — tombstones included — always survives;
+//! * the cut is one release store of `next = null` on the cut node; the
+//!   detached tail's nodes keep their own `next`, so a pinned reader
+//!   already standing on them finishes a coherent walk;
+//! * a mark of 0 prunes nothing.
+//!
 //! The visibility rules are intentionally the same functions read off two
 //! different orderings: `Vec` methods scan `versions.iter().rev()` (newest
 //! first), the node methods walk `head → next` (also newest first), so
@@ -158,6 +175,20 @@ impl VersionChain {
             .any(|v| v.writer != writer && !v.is_committed())
     }
 
+    /// Drop every version no reader at or above `low_water` can reach —
+    /// the reference statement of [`ChainHead::prune`] (see the module docs
+    /// for the invariants) — and return what was dropped, oldest first.
+    pub fn prune(&mut self, low_water: Timestamp) -> Vec<Version> {
+        match cut_point(
+            self.versions.iter().enumerate().rev(),
+            |(_, v)| v.commit_ts,
+            low_water,
+        ) {
+            Some((cut, _)) => self.versions.drain(..cut).collect(),
+            None => Vec::new(),
+        }
+    }
+
     /// Number of versions in the chain.
     pub fn len(&self) -> usize {
         self.versions.len()
@@ -167,6 +198,34 @@ impl VersionChain {
     pub fn is_empty(&self) -> bool {
         self.versions.is_empty()
     }
+}
+
+/// Where pruning at `low_water` cuts a chain walked newest first: the last
+/// version to keep, after which everything is unreachable for a reader at
+/// or above the mark.  That is the boundary (the first version committed
+/// at or before the mark) or, if anything below the boundary is still
+/// uncommitted or was committed after the mark, the oldest such straggler.
+/// `None` when there is no boundary, and always for a mark of 0 ("prune
+/// nothing" — `Timestamp(0)` is a legal commit stamp, so the comparison
+/// alone would not say it).
+fn cut_point<V: Copy>(
+    newest_first: impl Iterator<Item = V>,
+    commit_ts: impl Fn(V) -> Option<Timestamp>,
+    low_water: Timestamp,
+) -> Option<V> {
+    if low_water == Timestamp(0) {
+        return None;
+    }
+    let mut cut = None;
+    for version in newest_first {
+        let settled = matches!(commit_ts(version), Some(ts) if ts <= low_water);
+        // Above the boundary only a settled version matters (it *is* the
+        // boundary); below it only an unsettled one does.
+        if settled == cut.is_none() {
+            cut = Some(version);
+        }
+    }
+    cut
 }
 
 /// Commit-stamp sentinel meaning "the writer has not committed".
@@ -291,6 +350,52 @@ impl UnlinkedVersion {
     }
 }
 
+/// The tail [`ChainHead::prune`] detached: a run of versions, newest first,
+/// linked through their own untouched `next` pointers.  Unreachable from
+/// the chain head but possibly still referenced by in-flight readers, so it
+/// must be [`PrunedTail::retire`]d, never dropped in place (dropping it
+/// leaks the nodes).
+#[must_use = "pruned versions must be retired to the EBR domain"]
+pub struct PrunedTail {
+    head: *mut VersionNode,
+}
+
+impl PrunedTail {
+    /// True if pruning detached nothing.
+    pub fn is_empty(&self) -> bool {
+        self.head.is_null()
+    }
+
+    /// The detached versions, newest first (used to roll their keys out of
+    /// the ordered index before the memory is surrendered).
+    pub fn versions(&self) -> impl Iterator<Item = &VersionNode> {
+        // The `ChainIter` liveness proof here is ownership: the nodes were
+        // detached under the stripe lock and stay allocated until
+        // `retire(self)` consumes this handle.
+        ChainIter {
+            cur: self.head,
+            _life: PhantomData,
+        }
+    }
+
+    /// Surrender every detached node to the reclamation domain.
+    pub fn retire(self, ebr: &Ebr) {
+        let mut cur = self.head;
+        while !cur.is_null() {
+            // SAFETY: `cur` is a node of the tail this handle uniquely owns
+            // (detached by the stripe-locked `prune`, not yet retired), so
+            // the allocation is live.  `next` is read *before* the node is
+            // retired — retire may free it at once when nothing is pinned —
+            // and is never written after the detach, so the walk visits
+            // each tail node exactly once and ends at the old chain end.
+            #[allow(unsafe_code)]
+            let next = unsafe { (*cur).next.load(Ordering::Acquire) };
+            ebr.retire(cur);
+            cur = next;
+        }
+    }
+}
+
 /// The atomic head of one row's version chain, newest version first.
 ///
 /// Readers traverse it lock-free under an epoch [`Guard`]; every mutating
@@ -345,32 +450,37 @@ impl ChainHead {
         self.0.store(node, Ordering::Release);
     }
 
-    /// Stamp all of `writer`'s uncommitted versions with `ts`.
+    /// Stamp `writer`'s `installed` uncommitted versions with `ts`.
     ///
-    /// Contract: the owning stripe lock is held exclusively.  The stamp is
-    /// a release store; a concurrent lock-free reader observes each
-    /// version flip from "uncommitted" to "committed at `ts`" atomically.
-    pub fn commit(&self, writer: TxnToken, ts: Timestamp) {
+    /// Contract: the owning stripe lock is held exclusively, and
+    /// `installed` is how many versions `writer` installed on this row and
+    /// has not yet committed or aborted (its write set knows).  The walk
+    /// stops at the last of them instead of visiting the retained history
+    /// below.  The stamp is a release store; a concurrent lock-free reader
+    /// observes each version flip from "uncommitted" to "committed at
+    /// `ts`" atomically.
+    pub fn commit(&self, writer: TxnToken, ts: Timestamp, installed: usize) {
         debug_assert_ne!(ts.0, UNSTAMPED, "u64::MAX is the unstamped sentinel");
-        for node in self.iter_exclusive() {
-            if node.writer == writer && !node.is_committed() {
-                node.commit_ts.store(ts.0, Ordering::Release);
-            }
+        let own = self
+            .iter_exclusive()
+            .filter(|node| node.writer == writer && !node.is_committed());
+        for node in own.take(installed) {
+            node.commit_ts.store(ts.0, Ordering::Release);
         }
     }
 
-    /// Unlink all of `writer`'s uncommitted versions (rollback: the before
-    /// image becomes the head again) and return them for retirement.
+    /// Unlink `writer`'s `installed` uncommitted versions (rollback: the
+    /// before image becomes the head again) and return them for retirement.
     ///
-    /// Contract: the owning stripe lock is held exclusively.  Each unlink
-    /// is a release store that splices the node out; the node's own `next`
-    /// is left untouched so readers already standing on it still see the
-    /// correct older suffix.  The returned nodes are unreachable from the
-    /// head but must be retired, not dropped.
-    pub fn abort(&self, writer: TxnToken) -> Vec<UnlinkedVersion> {
-        let mut removed = Vec::new();
+    /// Contract: as for [`ChainHead::commit`].  Each unlink is a release
+    /// store that splices the node out; the node's own `next` is left
+    /// untouched so readers already standing on it still see the correct
+    /// older suffix.  The returned nodes are unreachable from the head but
+    /// must be retired, not dropped.
+    pub fn abort(&self, writer: TxnToken, installed: usize) -> Vec<UnlinkedVersion> {
+        let mut removed = Vec::with_capacity(installed);
         let mut link: &AtomicPtr<VersionNode> = &self.0;
-        loop {
+        while removed.len() < installed {
             let cur = link.load(Ordering::Acquire);
             if cur.is_null() {
                 break;
@@ -389,6 +499,31 @@ impl ChainHead {
             }
         }
         removed
+    }
+
+    /// Detach every version no reader at or above `low_water` can reach
+    /// (the module docs list the invariants) and return the tail for
+    /// retirement.
+    ///
+    /// Contract: the owning stripe lock is held exclusively.  The walk
+    /// runs from the head to the boundary and over whatever is below it;
+    /// since every write prunes, that is a version or two unless a
+    /// long-lived snapshot is holding the mark back.
+    pub fn prune(&self, low_water: Timestamp) -> PrunedTail {
+        let cut = cut_point(self.iter_exclusive(), VersionNode::commit_ts, low_water);
+        PrunedTail {
+            // The cut: one release store (the stripe lock makes the
+            // load/store pair atomic among writers), after which no
+            // traversal that starts at the head reaches the tail.  Readers
+            // already past the cut node keep walking the tail's own links.
+            head: cut.map_or(std::ptr::null_mut(), |node| {
+                let tail = node.next.load(Ordering::Acquire);
+                if !tail.is_null() {
+                    node.next.store(std::ptr::null_mut(), Ordering::Release);
+                }
+                tail
+            }),
+        }
     }
 
     /// The most recent version regardless of commit status (dirty read).
@@ -647,7 +782,7 @@ mod tests {
         assert!(head.latest_committed(&guard).is_none());
         assert_eq!(balance_of(head.latest_any(&guard)), Some(50));
 
-        head.commit(TxnToken(1), Timestamp(1));
+        head.commit(TxnToken(1), Timestamp(1), 1);
         assert_eq!(balance_of(head.latest_committed(&guard)), Some(50));
         assert!(head.committed_as_of(Timestamp(0), &guard).is_none());
 
@@ -664,7 +799,7 @@ mod tests {
         assert!(head.has_foreign_uncommitted(TxnToken(3), &guard));
         assert!(!head.has_foreign_uncommitted(TxnToken(2), &guard));
 
-        head.commit(TxnToken(2), Timestamp(5));
+        head.commit(TxnToken(2), Timestamp(5), 1);
         assert_eq!(
             balance_of(head.committed_as_of(Timestamp(1), &guard)),
             Some(50)
@@ -684,11 +819,11 @@ mod tests {
         let ebr = Ebr::new();
         let head = ChainHead::new();
         head.install(TxnToken(1), Some(row(100)));
-        head.commit(TxnToken(1), Timestamp(1));
+        head.commit(TxnToken(1), Timestamp(1), 1);
         head.install(TxnToken(2), Some(row(999)));
         head.install(TxnToken(2), None);
 
-        let removed = head.abort(TxnToken(2));
+        let removed = head.abort(TxnToken(2), 2);
         assert_eq!(removed.len(), 2);
         // The unlinked rows are still readable until retired (the index
         // maintenance path depends on this).
@@ -715,9 +850,9 @@ mod tests {
         let ebr = Ebr::new();
         let head = ChainHead::new();
         head.install(TxnToken(1), Some(row(1)));
-        head.commit(TxnToken(1), Timestamp(1));
+        head.commit(TxnToken(1), Timestamp(1), 1);
         head.install(TxnToken(2), None);
-        head.commit(TxnToken(2), Timestamp(2));
+        head.commit(TxnToken(2), Timestamp(2), 1);
         let guard = ebr.pin();
         assert!(head.latest_committed(&guard).unwrap().is_tombstone());
         assert!(!head
@@ -731,5 +866,249 @@ mod tests {
         // sanity: simply must not crash or double-free).
         drop(guard);
         drop(head);
+    }
+
+    #[test]
+    fn commit_and_abort_stop_at_the_installed_count() {
+        let ebr = Ebr::new();
+        let guard = ebr.pin();
+        let head = ChainHead::new();
+        head.install(TxnToken(1), Some(row(1)));
+        head.install(TxnToken(1), Some(row(2)));
+        head.install(TxnToken(2), Some(row(3)));
+        head.install(TxnToken(1), Some(row(4)));
+        // Told about two of its three versions, the newest two are stamped
+        // and the walk never reaches the oldest.
+        head.commit(TxnToken(1), Timestamp(7), 2);
+        let stamps: Vec<_> = head.snapshot(&guard).map(|v| v.commit_ts()).collect();
+        assert_eq!(
+            stamps,
+            vec![Some(Timestamp(7)), None, Some(Timestamp(7)), None]
+        );
+        let removed = head.abort(TxnToken(1), 1);
+        assert_eq!(removed.len(), 1);
+        assert_eq!(head.len(&guard), 3);
+        for v in removed {
+            v.retire(&ebr);
+        }
+        // An over-count is harmless: the walk ends with the chain.
+        let removed = head.abort(TxnToken(2), 5);
+        assert_eq!(removed.len(), 1);
+        for v in removed {
+            v.retire(&ebr);
+        }
+    }
+
+    #[test]
+    fn prune_cuts_below_the_boundary_and_keeps_stragglers() {
+        let ebr = Ebr::new();
+        let head = ChainHead::new();
+        let stamps = |head: &ChainHead| {
+            let guard = ebr.pin();
+            let stamps: Vec<_> = head.snapshot(&guard).map(|v| v.commit_ts()).collect();
+            stamps
+        };
+        let commit = |txn: u64, ts: u64| {
+            head.install(TxnToken(txn), Some(row(ts as i64)));
+            head.commit(TxnToken(txn), Timestamp(ts), 1);
+        };
+        commit(1, 1);
+        commit(2, 2);
+        head.install(TxnToken(9), Some(row(99)));
+        commit(3, 3);
+        commit(5, 5);
+        let ts = |t| Some(Timestamp(t));
+        assert_eq!(stamps(&head), vec![ts(5), ts(3), None, ts(2), ts(1)]);
+
+        // Mark 0 prunes nothing, and neither does a mark with no boundary.
+        assert!(head.prune(Timestamp(0)).is_empty());
+        // Mark 4: the boundary is the version committed at 3, but txn 9's
+        // uncommitted version below it must stay, and shields nothing
+        // beneath itself: the cut lands on it.
+        let tail = head.prune(Timestamp(4));
+        assert_eq!(
+            tail.versions().map(|v| v.commit_ts()).collect::<Vec<_>>(),
+            vec![ts(2), ts(1)]
+        );
+        tail.retire(&ebr);
+        assert_eq!(stamps(&head), vec![ts(5), ts(3), None]);
+        assert!(head.prune(Timestamp(4)).is_empty());
+        {
+            let guard = ebr.pin();
+            assert_eq!(
+                balance_of(head.committed_as_of(Timestamp(4), &guard)),
+                Some(3)
+            );
+            assert_eq!(
+                balance_of(head.visible_for(TxnToken(9), Timestamp(4), &guard)),
+                Some(99)
+            );
+        }
+        // Its rollback finds it, and restores nothing pruning took.
+        for v in head.abort(TxnToken(9), 1) {
+            v.retire(&ebr);
+        }
+        // A mark past every commit keeps the newest committed version,
+        // uncommitted versions above it or not.
+        head.install(TxnToken(6), None);
+        let tail = head.prune(Timestamp(50));
+        assert_eq!(tail.versions().count(), 1);
+        tail.retire(&ebr);
+        assert_eq!(stamps(&head), vec![None, ts(5)]);
+        ebr.flush();
+        assert_eq!(ebr.stats().reclaimed, 4);
+        assert_eq!(ebr.stats().reclaimed_while_pinned, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Pruning, as a property: the Vec model states the rule in safe code,
+    // the atomic chain must agree with it, and neither may change what a
+    // reader at or above the mark sees.
+    // ------------------------------------------------------------------
+
+    use proptest::prelude::*;
+
+    /// One chain-building step: `(kind, txn, tombstone)`.
+    type Step = (u32, u64, bool);
+
+    /// Apply a step to both representations; `owned` counts each
+    /// transaction's uncommitted versions, as a write set would.
+    fn apply(
+        step: Step,
+        model: &mut VersionChain,
+        head: &ChainHead,
+        owned: &mut [usize; 4],
+        clock: &mut u64,
+        ebr: &Ebr,
+    ) {
+        let (kind, txn, tombstone) = step;
+        let token = TxnToken(txn);
+        let mine = &mut owned[txn as usize];
+        match kind {
+            0 | 1 => {
+                let image = (!tombstone).then(|| row(*clock as i64 * 10 + txn as i64));
+                model.install(token, image.clone());
+                head.install(token, image);
+                *mine += 1;
+            }
+            2 => {
+                *clock += 1;
+                model.commit(token, Timestamp(*clock));
+                head.commit(token, Timestamp(*clock), *mine);
+                *mine = 0;
+            }
+            _ => {
+                model.abort(token);
+                for v in head.abort(token, *mine) {
+                    v.retire(ebr);
+                }
+                *mine = 0;
+            }
+        }
+    }
+
+    /// Every answer a reader can get out of a chain at `ts`: the picked
+    /// versions, and the First-Committer-Wins / first-writer-wins verdicts.
+    fn answers(chain: &VersionChain, ts: Timestamp) -> (Vec<Option<Version>>, Vec<bool>) {
+        let mut picked = vec![
+            chain.latest_any().cloned(),
+            chain.latest_committed().cloned(),
+            chain.committed_as_of(ts).cloned(),
+        ];
+        let mut verdicts = Vec::new();
+        for txn in 0..4 {
+            picked.push(chain.visible_for(TxnToken(txn), ts).cloned());
+            verdicts.push(chain.committed_after(ts, TxnToken(txn)));
+            verdicts.push(chain.has_foreign_uncommitted(TxnToken(txn)));
+        }
+        (picked, verdicts)
+    }
+
+    fn as_versions(head: &ChainHead, guard: &Guard<'_>) -> Vec<Version> {
+        let mut versions: Vec<Version> = head
+            .snapshot(guard)
+            .map(|node| Version {
+                writer: node.writer,
+                row: node.row().cloned(),
+                commit_ts: node.commit_ts(),
+            })
+            .collect();
+        versions.reverse();
+        versions
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pruning_never_changes_what_a_reader_at_or_above_the_mark_sees(
+            steps in proptest::collection::vec((0u32..4, 0u64..4, proptest::bool::ANY), 1..40),
+            more in proptest::collection::vec((0u32..4, 0u64..4, proptest::bool::ANY), 0..10),
+            mark in 0u64..16,
+        ) {
+            let ebr = Ebr::new();
+            let head = ChainHead::new();
+            let mut model = VersionChain::new();
+            let mut owned = [0usize; 4];
+            let mut clock = 0u64;
+            for step in steps {
+                apply(step, &mut model, &head, &mut owned, &mut clock, &ebr);
+            }
+            let low_water = Timestamp(mark.min(clock));
+            let before = model.clone();
+
+            let dropped = model.prune(low_water);
+            let tail = head.prune(low_water);
+            let mut detached: Vec<Version> = tail
+                .versions()
+                .map(|node| Version {
+                    writer: node.writer,
+                    row: node.row().cloned(),
+                    commit_ts: node.commit_ts(),
+                })
+                .collect();
+            detached.reverse();
+            tail.retire(&ebr);
+            prop_assert_eq!(&detached, &dropped);
+            {
+                let guard = ebr.pin();
+                prop_assert_eq!(as_versions(&head, &guard), model.versions().to_vec());
+            }
+
+            // Only settled history goes (never an uncommitted version, never
+            // one committed after the mark), the survivors are a suffix of
+            // the old chain, and a chain with a committed version keeps one.
+            // With the per-timestamp answers below unchanged from the mark
+            // up, that suffix starts at or below the boundary.
+            prop_assert!(dropped
+                .iter()
+                .all(|v| matches!(v.commit_ts, Some(c) if c <= low_water)));
+            prop_assert_eq!(
+                [dropped.as_slice(), model.versions()].concat(),
+                before.versions().to_vec()
+            );
+            prop_assert_eq!(
+                before.latest_committed().is_some(),
+                model.latest_committed().is_some()
+            );
+            if mark == 0 {
+                prop_assert!(dropped.is_empty());
+            }
+            for ts in low_water.0..=clock + 1 {
+                prop_assert_eq!(answers(&before, Timestamp(ts)), answers(&model, Timestamp(ts)));
+            }
+
+            // The chains keep agreeing under further traffic (aborts below
+            // the cut, commits of stragglers, another prune).
+            for step in more {
+                apply(step, &mut model, &head, &mut owned, &mut clock, &ebr);
+            }
+            let dropped_again = model.prune(Timestamp(clock));
+            let tail = head.prune(Timestamp(clock));
+            prop_assert_eq!(tail.versions().count(), dropped_again.len());
+            tail.retire(&ebr);
+            let guard = ebr.pin();
+            prop_assert_eq!(as_versions(&head, &guard), model.versions().to_vec());
+        }
     }
 }
